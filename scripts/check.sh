@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Pre-PR gate: bms-lint determinism pass + clang-tidy + ASan/UBSan
-# test run + lane-conflict census gate.
+# test run + lane-conflict census gate + perfbench fingerprints.
 #
-# Usage: scripts/check.sh [--lint-only|--tidy-only|--san-only|--lane-only]
+# Usage: scripts/check.sh [--lint-only|--tidy-only|--san-only|--lane-only|
+#                          --bench-only]
 #
 # 1. bms-lint (tools/bms-lint) over every source file in src/ and
 #    tests/: project determinism rules R1-R5 (wall-clock/entropy,
@@ -20,9 +21,15 @@
 #    sanitizer armed, merging the per-run censuses into
 #    build-lane/lane_conflicts.json and gating every write-involving
 #    cross-lane conflict against scripts/lane_baseline.json.
+# 5. The repository benchmark (perfbench/run.py) at seed 1 for every
+#    workload pinned in scripts/perfbench_fingerprints.json: each
+#    run's modeled-results fingerprint (the `reps:` line) must equal
+#    the pinned value — a one-command proof that a simulator-only
+#    change left modeled results untouched.
 #
-# Build trees land in build-lint/, build-tidy/, build-asan/ and
-# build-lane/ so they never disturb an existing build/.
+# Build trees land in build-lint/, build-tidy/, build-asan/,
+# build-lane/ and .bench_build/ so they never disturb an existing
+# build/.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -188,13 +195,41 @@ run_lane() {
         scripts/lane_baseline.json ${out}/lane_conflicts.json || fail=1
 }
 
+run_bench() {
+    echo "== perfbench fingerprints (scripts/perfbench_fingerprints.json) =="
+    local pins=scripts/perfbench_fingerprints.json
+    local seed w want got out rc
+    seed=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["seed"])' "${pins}")
+    mkdir -p .bench_build
+    while read -r w want; do
+        out=".bench_build/check_${w}"
+        rc=0
+        python3 perfbench/run.py --workload "${w}" --seed "${seed}" \
+            --seconds 1 --trace 0 >"${out}.out" 2>"${out}.log" || rc=$?
+        got=$(sed -n 's/^reps:.*fingerprint: \([0-9a-f]*\).*$/\1/p' \
+                  "${out}.out")
+        if [ "${rc}" -eq 0 ] && [ "${got}" = "${want}" ]; then
+            echo "check.sh: ${w} fingerprint ${got} matches"
+        else
+            echo "check.sh: ${w} fingerprint '${got}' (exit ${rc})," \
+                 "pinned ${want}; see ${out}.log" >&2
+            tail -5 "${out}.log" >&2
+            fail=1
+        fi
+    done < <(python3 -c '
+import json, sys
+for w, fp in json.load(open(sys.argv[1]))["fingerprints"].items():
+    print(w, fp)' "${pins}")
+}
+
 case "${mode}" in
   --lint-only) run_lint ;;
   --tidy-only) run_tidy ;;
   --san-only)  run_san ;;
   --lane-only) run_lane ;;
-  all)         run_lint; run_tidy; run_san; run_lane ;;
-  *) echo "usage: scripts/check.sh [--lint-only|--tidy-only|--san-only|--lane-only]" >&2
+  --bench-only) run_bench ;;
+  all)         run_lint; run_tidy; run_san; run_lane; run_bench ;;
+  *) echo "usage: scripts/check.sh [--lint-only|--tidy-only|--san-only|--lane-only|--bench-only]" >&2
      exit 2 ;;
 esac
 

@@ -2,12 +2,13 @@
  * @file
  * BMS-Engine on-chip memory (FPGA BRAM/URAM + card DRAM).
  *
- * Holds the back-end SQ/CQ rings of the host adaptors and the
- * rewritten (global) PRP lists. It occupies a dedicated address
- * window distinct from the 48-bit host physical space, so the DMA
- * router can tell a chip access apart from a routed host access by
- * address alone — just like the real engine decodes TLP destination
- * addresses.
+ * Holds the back-end SQ/CQ rings of the host adaptors, the
+ * rewritten (global) PRP lists, and the migration/tiering staging
+ * buffers (data payloads, kept as page images). It occupies a
+ * dedicated address window distinct from the 48-bit host physical
+ * space, so the DMA router can tell a chip access apart from a routed
+ * host access by address alone — just like the real engine decodes
+ * TLP destination addresses.
  */
 
 #ifndef BMS_CORE_ENGINE_CHIP_MEMORY_HH
@@ -55,6 +56,24 @@ class ChipMemory : public pcie::MemoryIf
                    "chip-memory write outside window: addr=", addr);
         BMS_LANE_AUDIT_WRITE(_laneAudit);
         _mem.write(addr - kWindowBase, len, data);
+    }
+
+    sim::Payload
+    readPayload(std::uint64_t addr, std::uint32_t len) override
+    {
+        BMS_ASSERT(contains(addr),
+                   "chip-memory read outside window: addr=", addr);
+        BMS_LANE_AUDIT_READ(_laneAudit);
+        return _mem.readPayload(addr - kWindowBase, len);
+    }
+
+    void
+    writePayload(std::uint64_t addr, const sim::Payload &data) override
+    {
+        BMS_ASSERT(contains(addr),
+                   "chip-memory write outside window: addr=", addr);
+        BMS_LANE_AUDIT_WRITE(_laneAudit);
+        _mem.writePayload(addr - kWindowBase, data);
     }
 
     /** Name this memory in the lane-conflict census (DESIGN.md §13). */

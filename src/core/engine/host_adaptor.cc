@@ -270,24 +270,44 @@ HostAdaptor::reserveUp(sim::Tick start, std::uint64_t bytes)
     return fin;
 }
 
+sim::Tick
+HostAdaptor::chipReadDone(std::uint32_t len)
+{
+    // Command fetch, PRP-list fetch, staging-buffer read: served
+    // from chip memory.
+    _chipBytes += len;
+    return reserveDown(now() + _cfg.chipMemLatency, len);
+}
+
+sim::Tick
+HostAdaptor::chipWriteDone(std::uint32_t len)
+{
+    // CQE post into the adaptor's completion ring, staging-buffer
+    // fill.
+    _chipBytes += len;
+    return reserveUp(now(), len) + _cfg.chipMemLatency;
+}
+
 void
 HostAdaptor::dmaRead(std::uint64_t addr, std::uint32_t len,
                      std::uint8_t *out, std::function<void()> done)
 {
     std::uint64_t orig = GlobalPrp::originalAddr(addr);
     if (ChipMemory::contains(orig)) {
-        // Command fetch, PRP-list fetch: served from chip memory.
-        _chipBytes += len;
-        sim::Tick fin = reserveDown(now() + _cfg.chipMemLatency, len);
-        sim().scheduleAt(fin, [this, orig, len, out,
-                               done = std::move(done)] {
+        sim().scheduleAt(chipReadDone(len), [this, orig, len, out,
+                                             done = std::move(done)] {
             if (out)
                 _chip.read(orig, len, out);
             done();
         });
         return;
     }
-    routeToHost(false, addr, len, out, nullptr, std::move(done));
+    routeFromHost(addr, len, out != nullptr,
+                  [out, len, done = std::move(done)](sim::Payload data) {
+                      if (out)
+                          data.read(0, len, out);
+                      done();
+                  });
 }
 
 void
@@ -296,83 +316,153 @@ HostAdaptor::dmaWrite(std::uint64_t addr, std::uint32_t len,
 {
     std::uint64_t orig = GlobalPrp::originalAddr(addr);
     if (ChipMemory::contains(orig)) {
-        // CQE post into the adaptor's completion ring.
-        _chipBytes += len;
-        sim::Tick fin = reserveUp(now(), len) + _cfg.chipMemLatency;
-        sim().scheduleAt(fin, [this, orig, len, data,
-                               done = std::move(done)] {
+        sim().scheduleAt(chipWriteDone(len), [this, orig, len, data,
+                                              done = std::move(done)] {
             if (data)
                 _chip.write(orig, len, data);
             done();
         });
         return;
     }
-    routeToHost(true, addr, len, nullptr, data, std::move(done));
+    routeToHost(addr, len,
+                data ? sim::Payload::fromBytes(data, len) : sim::Payload{},
+                std::move(done));
 }
 
 void
-HostAdaptor::routeToHost(bool to_host, std::uint64_t addr,
-                         std::uint32_t len, std::uint8_t *rbuf,
-                         const std::uint8_t *wbuf,
-                         std::function<void()> done)
+HostAdaptor::dmaReadPayload(std::uint64_t addr, std::uint32_t len,
+                            bool functional,
+                            std::function<void(sim::Payload)> done)
+{
+    std::uint64_t orig = GlobalPrp::originalAddr(addr);
+    if (ChipMemory::contains(orig)) {
+        sim().scheduleAt(chipReadDone(len), [this, orig, len, functional,
+                                             done = std::move(done)] {
+            done(functional ? _chip.readPayload(orig, len)
+                            : sim::Payload{});
+        });
+        return;
+    }
+    routeFromHost(addr, len, functional, std::move(done));
+}
+
+void
+HostAdaptor::dmaWritePayload(std::uint64_t addr, std::uint32_t len,
+                             sim::Payload data, std::function<void()> done)
+{
+    std::uint64_t orig = GlobalPrp::originalAddr(addr);
+    if (ChipMemory::contains(orig)) {
+        sim().scheduleAt(chipWriteDone(len), [this, orig,
+                                              data = std::move(data),
+                                              done = std::move(done)] {
+            if (!data.empty())
+                _chip.writePayload(orig, data);
+            done();
+        });
+        return;
+    }
+    routeToHost(addr, len, std::move(data), std::move(done));
+}
+
+std::uint64_t
+HostAdaptor::routeCheck(std::uint64_t addr, std::uint32_t len)
 {
     BMS_ASSERT(_hostUp, "engine not attached to host");
     if (sim::Check::paranoid())
         GlobalPrp::checkInvariants(addr);
-    std::uint64_t orig = GlobalPrp::originalAddr(addr);
     // The function id recovered from the TLP address selects the host
     // PF/VF. The host root port routes by address in this model, so
     // the id's role here is validation/accounting — exactly the
     // "retrieve the function id and route the request" step of §IV-C.
     [[maybe_unused]] pcie::FunctionId fn = GlobalPrp::functionOf(addr);
     _routedHostBytes += len;
+    return GlobalPrp::originalAddr(addr);
+}
 
+sim::Tick
+HostAdaptor::dramStage(sim::Tick start, std::uint32_t len)
+{
+    sim::Tick s = start > *_dramBusy ? start : *_dramBusy;
+    *_dramBusy = s + _cfg.engineDramBw.delayFor(len);
+    return *_dramBusy;
+}
+
+void
+HostAdaptor::routeToHost(std::uint64_t addr, std::uint32_t len,
+                         sim::Payload data, std::function<void()> done)
+{
+    std::uint64_t orig = routeCheck(addr, len);
     if (_cfg.zeroCopy) {
         // Cut-through: the back-end link and the host link stream in
         // parallel; completion when both have carried the payload.
-        sim::Tick back_fin =
-            to_host ? reserveUp(now(), len)
-                    : reserveDown(now() + _cfg.dmaRouteDelay, len);
+        sim::Tick back_fin = reserveUp(now(), len);
         auto barrier = std::make_shared<int>(2);
         auto arm = [barrier, done = std::move(done)] {
             if (--*barrier == 0)
                 done();
         };
         sim().scheduleAt(back_fin, arm);
-        schedule(_cfg.dmaRouteDelay, [this, to_host, orig, len, rbuf, wbuf,
-                                      arm] {
-            if (to_host)
-                _hostUp->dmaWrite(orig, len, wbuf, arm);
-            else
-                _hostUp->dmaRead(orig, len, rbuf, arm);
+        schedule(_cfg.dmaRouteDelay, [this, orig, len,
+                                      data = std::move(data),
+                                      arm]() mutable {
+            _hostUp->dmaWritePayload(orig, len, std::move(data), arm);
         });
         return;
     }
+    // Store-and-forward ablation: SSD → back link → engine DRAM →
+    // host link.
+    sim::Tick staged = dramStage(reserveUp(now(), len), len);
+    sim().scheduleAt(staged, [this, orig, len, data = std::move(data),
+                              done = std::move(done)]() mutable {
+        _hostUp->dmaWritePayload(orig, len, std::move(data),
+                                 std::move(done));
+    });
+}
 
-    // Store-and-forward ablation: stage the payload in engine DRAM.
-    auto dram_stage = [this, len](sim::Tick start) {
-        sim::Tick s = start > *_dramBusy ? start : *_dramBusy;
-        *_dramBusy = s + _cfg.engineDramBw.delayFor(len);
-        return *_dramBusy;
-    };
-    if (to_host) {
-        // SSD → back link → DRAM → host link.
-        sim::Tick back_fin = reserveUp(now(), len);
-        sim::Tick staged = dram_stage(back_fin);
-        sim().scheduleAt(staged, [this, orig, len, wbuf,
-                                  done = std::move(done)] {
-            _hostUp->dmaWrite(orig, len, wbuf, std::move(done));
+void
+HostAdaptor::routeFromHost(std::uint64_t addr, std::uint32_t len,
+                           bool functional,
+                           std::function<void(sim::Payload)> done)
+{
+    std::uint64_t orig = routeCheck(addr, len);
+    if (_cfg.zeroCopy) {
+        // Cut-through: the payload arrives with the host leg and is
+        // handed over once the back-end leg has carried it too.
+        struct Join
+        {
+            int legs = 2;
+            sim::Payload data;
+            std::function<void(sim::Payload)> done;
+        };
+        sim::Tick back_fin = reserveDown(now() + _cfg.dmaRouteDelay, len);
+        auto join = std::make_shared<Join>();
+        join->done = std::move(done);
+        auto arm = [join] {
+            if (--join->legs == 0)
+                join->done(std::move(join->data));
+        };
+        sim().scheduleAt(back_fin, arm);
+        schedule(_cfg.dmaRouteDelay, [this, orig, len, functional, join,
+                                      arm] {
+            _hostUp->dmaReadPayload(orig, len, functional,
+                                    [join, arm](sim::Payload data) {
+                                        join->data = std::move(data);
+                                        arm();
+                                    });
         });
-    } else {
-        // Host link → DRAM → back link → SSD.
-        _hostUp->dmaRead(orig, len, rbuf,
-                         [this, len, dram_stage,
-                          done = std::move(done)]() mutable {
-                             sim::Tick staged = dram_stage(now());
-                             sim::Tick fin = reserveDown(staged, len);
-                             sim().scheduleAt(fin, std::move(done));
-                         });
+        return;
     }
+    // Store-and-forward ablation: host link → engine DRAM → back link
+    // → SSD.
+    _hostUp->dmaReadPayload(
+        orig, len, functional,
+        [this, len, done = std::move(done)](sim::Payload data) mutable {
+            sim::Tick fin = reserveDown(dramStage(now(), len), len);
+            sim().scheduleAt(fin, [data = std::move(data),
+                                   done = std::move(done)]() mutable {
+                done(std::move(data));
+            });
+        });
 }
 
 } // namespace bms::core

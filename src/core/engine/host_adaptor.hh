@@ -100,6 +100,12 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
     void dmaWrite(std::uint64_t addr, std::uint32_t len,
                   const std::uint8_t *data,
                   std::function<void()> done) override;
+    void dmaReadPayload(std::uint64_t addr, std::uint32_t len,
+                        bool functional,
+                        std::function<void(sim::Payload)> done) override;
+    void dmaWritePayload(std::uint64_t addr, std::uint32_t len,
+                         sim::Payload data,
+                         std::function<void()> done) override;
     void msix(pcie::FunctionId fn, std::uint16_t vector) override;
     /// @}
 
@@ -126,9 +132,22 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
     sim::Tick reserveDown(sim::Tick start, std::uint64_t bytes);
     /** Same, toward the engine. */
     sim::Tick reserveUp(sim::Tick start, std::uint64_t bytes);
-    void routeToHost(bool to_host, std::uint64_t addr, std::uint32_t len,
-                     std::uint8_t *rbuf, const std::uint8_t *wbuf,
-                     std::function<void()> done);
+    /** Completion tick of a chip-memory read / write of @p len. */
+    sim::Tick chipReadDone(std::uint32_t len);
+    sim::Tick chipWriteDone(std::uint32_t len);
+    /** Validate and account a routed transfer; returns the host
+     *  address the global PRP @p addr stands for. */
+    std::uint64_t routeCheck(std::uint64_t addr, std::uint32_t len);
+    /** Store-and-forward staging through engine DRAM from @p start. */
+    sim::Tick dramStage(sim::Tick start, std::uint32_t len);
+    /** Route a payload to / from the host PF/VF the global PRP
+     *  @p addr names (zero-copy or store-and-forward). Structure
+     *  bytes bound for the host ride the same path as payloads. */
+    void routeToHost(std::uint64_t addr, std::uint32_t len,
+                     sim::Payload data, std::function<void()> done);
+    void routeFromHost(std::uint64_t addr, std::uint32_t len,
+                       bool functional,
+                       std::function<void(sim::Payload)> done);
     void checkDrained();
 
     std::uint8_t _slot;

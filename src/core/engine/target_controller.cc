@@ -16,9 +16,6 @@ using nvme::Status;
 
 namespace {
 
-/** Zero source page for unallocated-chunk read fills. */
-constexpr std::uint8_t kZeroPage[nvme::kPageSize] = {};
-
 /** Poll period while a deallocate waits out a migration copier. */
 constexpr sim::Tick kTrimRetryDelay = sim::microseconds(200);
 
@@ -607,7 +604,8 @@ TargetController::dispatch(FrontFunction &fn, const Sqe &sqe,
     // Zero-filled ranges DMA straight from the engine's zero page to
     // the host buffer — no media access, no heat.
     for (const auto &[addr, len] : zero_pieces)
-        _engine.hostUpstream()->dmaWrite(addr, len, kZeroPage, finish);
+        _engine.hostUpstream()->dmaWritePayload(
+            addr, len, sim::Payload::zeros(len), finish);
 }
 
 void

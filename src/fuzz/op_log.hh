@@ -3,16 +3,21 @@
  * Bounded operation trace for the simulation fuzzer.
  *
  * Every oracle I/O, fault-window transition, and control-plane
- * operation appends one line to a fixed-size ring. When the oracle
+ * operation appends one entry to a fixed-size ring. When the oracle
  * (or any invariant) trips, the ring holds the last N events leading
  * up to the failure — enough context to read the interleaving that
  * broke, without unbounded memory during long seed sweeps.
+ *
+ * Oracle I/Os are recorded as typed fields and formatted only by
+ * dump(), so the per-I/O cost is a few stores; control-plane events
+ * carry their own text.
  */
 
 #ifndef BMS_FUZZ_OP_LOG_HH
 #define BMS_FUZZ_OP_LOG_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -25,10 +30,29 @@ namespace bms::fuzz {
 class OpLog
 {
   public:
+    /** What a typed entry records. */
+    enum class Kind : std::uint8_t
+    {
+        Text,
+        Write,
+        WriteFailed,
+        Read,
+        ReadFailed,
+        Trim,
+        TrimFailed,
+        Flush,
+    };
+
     explicit OpLog(std::size_t capacity = 256);
 
-    /** Append one event (overwrites the oldest once full). */
+    /** Append one free-text event (overwrites the oldest once full). */
     void record(sim::Tick tick, std::string what);
+
+    /** Append one oracle I/O of @p object on blocks
+     *  [block, block + count) carrying @p stamp. */
+    void record(sim::Tick tick, Kind kind, const std::string &object,
+                std::uint64_t block = 0, std::uint32_t count = 0,
+                std::uint64_t stamp = 0);
 
     /** Print the retained events, oldest first. */
     void dump(std::ostream &os) const;
@@ -42,8 +66,15 @@ class OpLog
     struct Entry
     {
         sim::Tick tick = 0;
-        std::string what;
+        Kind kind = Kind::Text;
+        /** The event text (Text) or the I/O's object name. */
+        std::string text;
+        std::uint64_t block = 0;
+        std::uint32_t count = 0;
+        std::uint64_t stamp = 0;
     };
+
+    Entry &next(sim::Tick tick, Kind kind);
 
     std::vector<Entry> _ring;
     std::size_t _next = 0;

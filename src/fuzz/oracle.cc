@@ -16,6 +16,8 @@ namespace {
 /** Pattern salt base; xor'd with the oracle uid per word group. */
 constexpr std::uint64_t kMagic = 0xb35ee0f5'0c1e0000ULL;
 constexpr std::uint32_t kWordsPerBlock = nvme::kBlockSize / 8;
+/** Words in one pattern group: the page's 32-byte repeat unit. */
+constexpr std::uint32_t kUnitWords = sim::PageImage::kUnitBytes / 8;
 
 std::uint64_t
 mixWord(std::uint32_t uid, std::uint64_t block, std::uint64_t stamp)
@@ -71,17 +73,14 @@ OracleDevice::releaseBuffer(std::uint64_t addr)
     _bufPool.push_back(addr);
 }
 
-void
-OracleDevice::fillPattern(std::uint8_t *buf, std::uint64_t block,
-                          std::uint64_t stamp) const
+sim::PageImage
+OracleDevice::patternPage(std::uint64_t block, std::uint64_t stamp) const
 {
-    auto *words = reinterpret_cast<std::uint64_t *>(buf);
-    for (std::uint32_t k = 0; k < kWordsPerBlock; k += 4) {
-        words[k] = kMagic ^ _cfg.uid;
-        words[k + 1] = block;
-        words[k + 2] = stamp;
-        words[k + 3] = mixWord(_cfg.uid, block, stamp);
-    }
+    const std::uint64_t words[kUnitWords] = {
+        kMagic ^ _cfg.uid, block, stamp, mixWord(_cfg.uid, block, stamp)};
+    sim::PageImage::Unit unit;
+    std::memcpy(unit.data(), words, sizeof(words));
+    return sim::PageImage(unit);
 }
 
 void
@@ -92,37 +91,52 @@ OracleDevice::fail(const std::string &what)
               " [seed=", _cfg.seed, " tick=", now(), "]");
 }
 
-std::uint64_t
-OracleDevice::verifyBlock(const std::uint8_t *img, std::uint64_t block,
-                          const std::vector<StampLife> &valid)
+void
+OracleDevice::verifyBlock(const sim::PageImage *img, std::uint64_t block,
+                          sim::Tick submitted)
 {
-    const auto *words = reinterpret_cast<const std::uint64_t *>(img);
-    bool all_zero =
-        std::all_of(words, words + kWordsPerBlock,
-                    [](std::uint64_t w) { return w == 0; });
+    // A repeat page is checked as its one unit, a byte page word by
+    // word over all 4 KiB; an absent page is all zeroes.
+    std::uint64_t unit[kUnitWords] = {};
+    const std::uint64_t *words = unit;
+    std::uint32_t nwords = kUnitWords;
+    if (img && img->repeating()) {
+        std::memcpy(unit, img->unit().data(), sizeof(unit));
+    } else if (img) {
+        words = reinterpret_cast<const std::uint64_t *>(img->bytes());
+        nwords = kWordsPerBlock;
+    }
+    bool all_zero = std::all_of(words, words + nwords,
+                                [](std::uint64_t w) { return w == 0; });
     std::uint64_t stamp = all_zero ? 0 : words[2];
     // Clone lineages carry parent-written patterns, so the writer's
     // uid is part of the identity: recover it from the salt word and
-    // require the exact (uid, stamp) pair to be acceptable.
+    // require the exact (uid, stamp) pair to be acceptable. Legal
+    // stamps are the lives overlapping the read's flight (born <=
+    // now() holds for every recorded entry, so only the death side
+    // needs checking).
     std::uint32_t uid =
         all_zero ? 0 : static_cast<std::uint32_t>(words[0] ^ kMagic);
+    const std::vector<StampLife> &lives = _state[block].lives;
     bool acceptable = std::any_of(
-        valid.begin(), valid.end(), [&](const StampLife &l) {
-            return all_zero ? l.stamp == 0
-                            : (l.stamp == stamp && l.uid == uid);
+        lives.begin(), lives.end(), [&](const StampLife &l) {
+            return l.died >= submitted &&
+                   (all_zero ? l.stamp == 0
+                             : (l.stamp == stamp && l.uid == uid));
         });
     if (!acceptable) {
         std::ostringstream os;
         os << "block " << block << " decoded uid " << uid << " stamp "
            << stamp << " not in acceptable set {";
-        for (const StampLife &l : valid)
-            os << " " << l.uid << ":" << l.stamp;
+        for (const StampLife &l : lives)
+            if (l.died >= submitted)
+                os << " " << l.uid << ":" << l.stamp;
         os << " }";
         fail(os.str());
     }
     if (all_zero)
-        return 0;
-    for (std::uint32_t k = 0; k < kWordsPerBlock; k += 4) {
+        return;
+    for (std::uint32_t k = 0; k < nwords; k += kUnitWords) {
         if (words[k] != (kMagic ^ uid) || words[k + 1] != block ||
             words[k + 2] != stamp ||
             words[k + 3] != mixWord(uid, block, stamp)) {
@@ -135,7 +149,6 @@ OracleDevice::verifyBlock(const std::uint8_t *img, std::uint64_t block,
             fail(os.str());
         }
     }
-    return stamp;
 }
 
 void
@@ -220,16 +233,13 @@ OracleDevice::write(std::uint64_t block, std::uint32_t nblocks,
     }
     std::uint32_t len = nblocks * nvme::kBlockSize;
     std::uint64_t buf = acquireBuffer();
-    std::vector<std::uint8_t> img(len);
     for (std::uint32_t i = 0; i < nblocks; ++i)
-        fillPattern(img.data() + i * nvme::kBlockSize, block + i, stamp);
-    _mem.write(buf, len, img.data());
+        _mem.raw().writePage(buf + i * nvme::kBlockSize,
+                             patternPage(block + i, stamp));
 
     bool faulty_at_submit = _faultsActive;
     ++_writes;
-    _log.record(now(), name() + " write  blk=" + std::to_string(block) +
-                           "+" + std::to_string(nblocks) +
-                           " stamp=" + std::to_string(stamp));
+    _log.record(now(), OpLog::Kind::Write, name(), block, nblocks, stamp);
 
     host::BlockRequest req;
     req.op = host::BlockRequest::Op::Write;
@@ -247,8 +257,8 @@ OracleDevice::write(std::uint64_t block, std::uint32_t nblocks,
                      std::to_string(nblocks) +
                      " failed with no fault injection active");
             ++_excusedErrors;
-            _log.record(now(), name() + " write-FAILED(excused) stamp=" +
-                                   std::to_string(stamp));
+            _log.record(now(), OpLog::Kind::WriteFailed, name(), 0, 0,
+                        stamp);
         }
         if (done)
             done(ok);
@@ -276,8 +286,7 @@ OracleDevice::trim(std::uint64_t block, std::uint32_t nblocks,
     }
     bool faulty_at_submit = _faultsActive;
     ++_trims;
-    _log.record(now(), name() + " trim   blk=" + std::to_string(block) +
-                           "+" + std::to_string(nblocks));
+    _log.record(now(), OpLog::Kind::Trim, name(), block, nblocks);
 
     host::BlockRequest req;
     req.op = host::BlockRequest::Op::Discard;
@@ -296,8 +305,7 @@ OracleDevice::trim(std::uint64_t block, std::uint32_t nblocks,
                      std::to_string(nblocks) +
                      " failed with no fault injection active");
             ++_excusedErrors;
-            _log.record(now(), name() + " trim-FAILED(excused) blk=" +
-                                   std::to_string(block));
+            _log.record(now(), OpLog::Kind::TrimFailed, name(), block);
         }
         if (done)
             done(ok);
@@ -318,15 +326,14 @@ OracleDevice::read(std::uint64_t block, std::uint32_t nblocks,
     sim::Tick submitted = now();
     _readSubmits.push_back(submitted);
     ++_reads;
-    _log.record(now(), name() + " read   blk=" + std::to_string(block) +
-                           "+" + std::to_string(nblocks));
+    _log.record(now(), OpLog::Kind::Read, name(), block, nblocks);
 
     host::BlockRequest req;
     req.op = host::BlockRequest::Op::Read;
     req.offset = _cfg.baseOffset + block * nvme::kBlockSize;
     req.len = len;
     req.dataAddr = buf;
-    req.done = [this, block, nblocks, len, buf, submitted, faulty_at_submit,
+    req.done = [this, block, nblocks, buf, submitted, faulty_at_submit,
                 done = std::move(done)](bool ok) {
         auto it = std::find(_readSubmits.begin(), _readSubmits.end(),
                             submitted);
@@ -339,27 +346,17 @@ OracleDevice::read(std::uint64_t block, std::uint32_t nblocks,
                      std::to_string(nblocks) +
                      " failed with no fault injection active");
             ++_excusedErrors;
-            _log.record(now(), name() + " read-FAILED(excused) blk=" +
-                                   std::to_string(block));
+            _log.record(now(), OpLog::Kind::ReadFailed, name(), block);
             if (done)
                 done(false);
             return;
         }
-        std::vector<std::uint8_t> img(len);
-        _mem.read(buf, len, img.data());
-        releaseBuffer(buf);
         for (std::uint32_t i = 0; i < nblocks; ++i) {
-            std::uint64_t b = block + i;
-            // Legal stamps: lifetime overlaps this read's flight.
-            // (born <= now() holds for every recorded entry, so only
-            // the death side needs checking.)
-            std::vector<StampLife> valid;
-            for (const StampLife &l : _state[b].lives)
-                if (l.died >= submitted)
-                    valid.push_back(l);
-            verifyBlock(img.data() + i * nvme::kBlockSize, b, valid);
+            verifyBlock(_mem.raw().page(buf + i * nvme::kBlockSize),
+                        block + i, submitted);
             ++_verifiedBlocks;
         }
+        releaseBuffer(buf);
         if (done)
             done(true);
     };
@@ -370,7 +367,7 @@ void
 OracleDevice::flush(std::function<void(bool)> done)
 {
     ++_flushes;
-    _log.record(now(), name() + " flush");
+    _log.record(now(), OpLog::Kind::Flush, name());
     host::BlockRequest req;
     req.op = host::BlockRequest::Op::Flush;
     req.done = [this, done = std::move(done)](bool ok) {

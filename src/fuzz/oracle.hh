@@ -5,8 +5,11 @@
  * Wraps one tenant block device with a write-stamp shadow map: every
  * write fills its buffer with a self-describing pattern (a per-oracle
  * salt, the absolute block index, and a monotonically increasing
- * stamp), and every read is verified word-for-word against the set of
- * stamps the shadow map says that block may legally hold.
+ * stamp — one 32-byte unit repeated across each 4 KiB block, written
+ * as a repeat-unit page image), and every read is verified against
+ * the set of stamps the shadow map says that block may legally hold:
+ * unit by unit while the block is still a repeat image, word by word
+ * over all 4 KiB once anything has turned it into real bytes.
  *
  * Soundness notes (what "may legally hold" means):
  *
@@ -68,6 +71,7 @@
 #include "fuzz/op_log.hh"
 #include "host/block.hh"
 #include "host/host_memory.hh"
+#include "sim/payload.hh"
 #include "sim/simulator.hh"
 
 namespace bms::fuzz {
@@ -197,13 +201,15 @@ class OracleDevice : public sim::SimObject
 
     std::uint64_t acquireBuffer();
     void releaseBuffer(std::uint64_t addr);
-    void fillPattern(std::uint8_t *buf, std::uint64_t block,
-                     std::uint64_t stamp) const;
-    /** Verify one block image; returns the decoded stamp or panics.
-     *  @p valid holds the already-filtered acceptable lives — the
-     *  image must decode to one of their (uid, stamp) pairs. */
-    std::uint64_t verifyBlock(const std::uint8_t *img, std::uint64_t block,
-                              const std::vector<StampLife> &valid);
+    /** The pattern of @p block at @p stamp: one 32-byte unit
+     *  (salt, block, stamp, mix) repeated across the page. */
+    sim::PageImage patternPage(std::uint64_t block,
+                               std::uint64_t stamp) const;
+    /** Verify the host page a read of @p block landed in (null =
+     *  never written, all zeroes) or panic: it must decode to the
+     *  (uid, stamp) of a life still alive at @p submitted. */
+    void verifyBlock(const sim::PageImage *img, std::uint64_t block,
+                     sim::Tick submitted);
     /** Shared completion bookkeeping of write() and trim(): clear
      *  the inflight token, kill overwritten lives on success, prune
      *  lives no in-flight read can observe. */

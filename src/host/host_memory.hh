@@ -35,6 +35,18 @@ class HostMemory : public pcie::MemoryIf
         _mem.write(addr, len, data);
     }
 
+    sim::Payload
+    readPayload(std::uint64_t addr, std::uint32_t len) override
+    {
+        return _mem.readPayload(addr, len);
+    }
+
+    void
+    writePayload(std::uint64_t addr, const sim::Payload &data) override
+    {
+        _mem.writePayload(addr, data);
+    }
+
     /**
      * Allocate @p len bytes aligned to @p align (power of two).
      * Allocations are never freed — testbeds are torn down whole.

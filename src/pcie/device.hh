@@ -18,6 +18,7 @@
 #include <functional>
 
 #include "pcie/types.hh"
+#include "sim/payload.hh"
 #include "sim/types.hh"
 
 namespace bms::pcie {
@@ -34,19 +35,38 @@ class PcieUpstreamIf
     virtual ~PcieUpstreamIf() = default;
 
     /**
-     * Device-initiated read of upstream memory (SQE fetch, PRP fetch,
-     * write-data fetch). @p out may be null for timing-only transfers.
+     * Device-initiated read of upstream structures (SQE fetch, PRP
+     * list fetch). @p out may be null for timing-only transfers.
      */
     virtual void dmaRead(std::uint64_t addr, std::uint32_t len,
                          std::uint8_t *out, std::function<void()> done) = 0;
 
     /**
-     * Device-initiated posted write to upstream memory (read data,
-     * CQE post). @p data may be null for timing-only transfers.
+     * Device-initiated posted write of structures (CQE post, identify
+     * and log pages). @p data may be null for timing-only transfers.
      */
     virtual void dmaWrite(std::uint64_t addr, std::uint32_t len,
                           const std::uint8_t *data,
                           std::function<void()> done) = 0;
+
+    /**
+     * Device-initiated read of a data payload (write-data fetch).
+     * With @p functional, @p done receives the page images of
+     * [addr, addr + len) snapshotted when the transfer arrives;
+     * otherwise an empty payload (timing only).
+     */
+    virtual void dmaReadPayload(std::uint64_t addr, std::uint32_t len,
+                                bool functional,
+                                std::function<void(sim::Payload)> done) = 0;
+
+    /**
+     * Device-initiated posted write of a data payload (read data),
+     * stored when the transfer arrives. An empty @p data moves no
+     * payload (timing only); @p len is the transfer size either way.
+     */
+    virtual void dmaWritePayload(std::uint64_t addr, std::uint32_t len,
+                                 sim::Payload data,
+                                 std::function<void()> done) = 0;
 
     /** Raise MSI-X @p vector on behalf of function @p fn. */
     virtual void msix(FunctionId fn, std::uint16_t vector) = 0;

@@ -12,6 +12,7 @@
 #ifndef BMS_PCIE_LINK_HH
 #define BMS_PCIE_LINK_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "pcie/types.hh"
@@ -36,7 +37,9 @@ class LinkChannel
     reserve(sim::Tick now, std::uint64_t bytes)
     {
         sim::Tick start = now > _busyUntil ? now : _busyUntil;
-        _busyUntil = start + _bw.delayFor(bytes);
+        sim::Tick busy = _bw.delayFor(bytes);
+        _busyUntil = start + busy;
+        _busyTime += busy;
         return _busyUntil + _prop;
     }
 
@@ -54,20 +57,30 @@ class LinkChannel
     sim::Tick propagation() const { return _prop; }
     sim::Tick busyUntil() const { return _busyUntil; }
 
-    /** Fraction of [0, now] the channel spent busy (rough utilization). */
+    /** Serialization time of every transfer reserved so far. */
+    sim::Tick busyTime() const { return _busyTime; }
+
+    /**
+     * Fraction of [0, now] the channel spent serializing. Reserved
+     * time still ahead of @p now (the queue behind busyUntil()) is
+     * not counted.
+     */
     double
     utilization(sim::Tick now) const
     {
         if (now == 0)
             return 0.0;
-        sim::Tick busy = _busyUntil < now ? _busyUntil : now;
-        return static_cast<double>(busy) / static_cast<double>(now);
+        sim::Tick ahead = _busyUntil > now ? _busyUntil - now : 0;
+        sim::Tick busy = _busyTime > ahead ? _busyTime - ahead : 0;
+        return std::min(1.0, static_cast<double>(busy) /
+                                 static_cast<double>(now));
     }
 
   private:
     sim::Bandwidth _bw;
     sim::Tick _prop;
     sim::Tick _busyUntil = 0;
+    sim::Tick _busyTime = 0;
 };
 
 /**

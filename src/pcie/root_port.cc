@@ -39,15 +39,28 @@ RootPort::hostMmioRead(FunctionId fn, std::uint64_t offset)
     return _device->mmioRead(fn, offset);
 }
 
-void
-RootPort::dmaRead(std::uint64_t addr, std::uint32_t len, std::uint8_t *out,
-                  std::function<void()> done)
+sim::Tick
+RootPort::readArrival(std::uint32_t len)
 {
     // Read request TLP travels upstream; completion data streams back
     // down. The downstream channel carries the payload.
     sim::Tick req = _link.up().controlArrival(now());
-    sim::Tick arrive = _link.down().reserve(req, len);
-    sim().scheduleAt(arrive, [this, addr, len, out, done = std::move(done)] {
+    return _link.down().reserve(req, len);
+}
+
+sim::Tick
+RootPort::writeArrival(std::uint32_t len)
+{
+    // Posted write: payload occupies the upstream channel.
+    return _link.up().reserve(now(), len);
+}
+
+void
+RootPort::dmaRead(std::uint64_t addr, std::uint32_t len, std::uint8_t *out,
+                  std::function<void()> done)
+{
+    sim().scheduleAt(readArrival(len), [this, addr, len, out,
+                                        done = std::move(done)] {
         if (out)
             _memory.read(addr, len, out);
         done();
@@ -58,11 +71,33 @@ void
 RootPort::dmaWrite(std::uint64_t addr, std::uint32_t len,
                    const std::uint8_t *data, std::function<void()> done)
 {
-    // Posted write: payload occupies the upstream channel.
-    sim::Tick arrive = _link.up().reserve(now(), len);
-    sim().scheduleAt(arrive, [this, addr, len, data, done = std::move(done)] {
+    sim().scheduleAt(writeArrival(len), [this, addr, len, data,
+                                         done = std::move(done)] {
         if (data)
             _memory.write(addr, len, data);
+        done();
+    });
+}
+
+void
+RootPort::dmaReadPayload(std::uint64_t addr, std::uint32_t len,
+                         bool functional,
+                         std::function<void(sim::Payload)> done)
+{
+    sim().scheduleAt(readArrival(len), [this, addr, len, functional,
+                                        done = std::move(done)] {
+        done(functional ? _memory.readPayload(addr, len) : sim::Payload{});
+    });
+}
+
+void
+RootPort::dmaWritePayload(std::uint64_t addr, std::uint32_t len,
+                          sim::Payload data, std::function<void()> done)
+{
+    sim().scheduleAt(writeArrival(len), [this, addr, data = std::move(data),
+                                         done = std::move(done)] {
+        if (!data.empty())
+            _memory.writePayload(addr, data);
         done();
     });
 }

@@ -67,10 +67,21 @@ class RootPort : public sim::SimObject, public PcieUpstreamIf
     void dmaWrite(std::uint64_t addr, std::uint32_t len,
                   const std::uint8_t *data,
                   std::function<void()> done) override;
+    void dmaReadPayload(std::uint64_t addr, std::uint32_t len,
+                        bool functional,
+                        std::function<void(sim::Payload)> done) override;
+    void dmaWritePayload(std::uint64_t addr, std::uint32_t len,
+                         sim::Payload data,
+                         std::function<void()> done) override;
     void msix(FunctionId fn, std::uint16_t vector) override;
     /// @}
 
   private:
+    /** Arrival of a device read's completion data (downstream). */
+    sim::Tick readArrival(std::uint32_t len);
+    /** Arrival of a device posted write's payload (upstream). */
+    sim::Tick writeArrival(std::uint32_t len);
+
     PcieLink _link;
     MemoryIf &_memory;
     InterruptSinkIf &_irq;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "sim/payload.hh"
 #include "sim/types.hh"
 
 namespace bms::pcie {
@@ -47,7 +48,9 @@ inline constexpr std::uint32_t kMsixBytes = 16;
 
 /**
  * Functional byte-addressable memory. Implemented by the host memory
- * model; also by the BMS-Engine chip memory (global PRP store).
+ * model; also by the BMS-Engine chip memory (global PRP store and
+ * migration staging buffers). Structures (rings, PRP lists) move as
+ * bytes; data payloads move as page images.
  */
 class MemoryIf
 {
@@ -61,6 +64,14 @@ class MemoryIf
     /** Copy @p len bytes from @p data (non-null) to @p addr. */
     virtual void write(std::uint64_t addr, std::uint32_t len,
                        const std::uint8_t *data) = 0;
+
+    /** Page images of [addr, addr + len) as they are now. */
+    virtual sim::Payload readPayload(std::uint64_t addr,
+                                     std::uint32_t len) = 0;
+
+    /** Store @p data at @p addr. */
+    virtual void writePayload(std::uint64_t addr,
+                              const sim::Payload &data) = 0;
 };
 
 /** Receiver of MSI-X interrupts (the host interrupt controller). */

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "nvme/dma.hh"
+
 namespace bms::remote {
 
 using nvme::IoOpcode;
@@ -54,47 +56,6 @@ RemoteNvmeDevice::attached(pcie::PcieUpstreamIf &upstream)
 }
 
 void
-RemoteNvmeDevice::resolveSegments(
-    const Sqe &sqe, std::function<void(std::vector<nvme::DmaSegment>)> then)
-{
-    std::uint64_t len = sqe.dataBytes();
-    if (!nvme::needsPrpList(sqe.prp1, len)) {
-        then(nvme::decodePrp(sqe.prp1, sqe.prp2, len, {}));
-        return;
-    }
-    std::uint32_t entries = nvme::prpPageCount(sqe.prp1, len) - 1;
-    auto raw = std::make_shared<std::vector<std::uint64_t>>(entries);
-    _up->dmaRead(sqe.prp2,
-                 static_cast<std::uint32_t>(entries * sizeof(std::uint64_t)),
-                 reinterpret_cast<std::uint8_t *>(raw->data()),
-                 [sqe, len, raw, then = std::move(then)] {
-                     then(nvme::decodePrp(sqe.prp1, sqe.prp2, len, *raw));
-                 });
-}
-
-void
-RemoteNvmeDevice::dmaSegments(const std::vector<nvme::DmaSegment> &segs,
-                              bool to_host, std::uint8_t *buf,
-                              std::function<void()> done)
-{
-    BMS_ASSERT(!segs.empty(), "DMA with no PRP segments");
-    auto remaining = std::make_shared<std::size_t>(segs.size());
-    auto fire = [remaining, done = std::move(done)] {
-        if (--*remaining == 0)
-            done();
-    };
-    std::uint64_t off = 0;
-    for (const auto &seg : segs) {
-        std::uint8_t *p = buf + off;
-        if (to_host)
-            _up->dmaWrite(seg.addr, seg.len, p, fire);
-        else
-            _up->dmaRead(seg.addr, seg.len, p, fire);
-        off += seg.len;
-    }
-}
-
-void
 RemoteNvmeDevice::executeIo(const Sqe &sqe, std::uint16_t sqid)
 {
     auto op = static_cast<IoOpcode>(sqe.opcode);
@@ -117,27 +78,24 @@ RemoteNvmeDevice::executeIo(const Sqe &sqe, std::uint16_t sqid)
         return;
     }
 
-    resolveSegments(sqe, [this, f = std::move(f)](
-                             std::vector<nvme::DmaSegment> segs) mutable {
-        f.segs = std::move(segs);
-        f.data =
-            std::make_shared<std::vector<std::uint8_t>>(f.len);
-        if (f.isWrite) {
-            // Gather the payload from upstream memory (host natively,
-            // or chip memory when behind BM-Store), then go on the
-            // wire with command + data. Copy the layout out before f
-            // moves into the continuation (dmaSegments only reads it
-            // during the call itself).
-            std::vector<nvme::DmaSegment> layout = f.segs;
-            std::uint8_t *p = f.data->data();
-            auto cont = [this, f = std::move(f)]() mutable {
-                enqueue(std::move(f));
-            };
-            dmaSegments(layout, false, p, std::move(cont));
+    auto start = [this, f = std::move(f)](
+                     std::vector<nvme::DmaSegment> segs) mutable {
+        if (!f.isWrite) {
+            // The upstream layout is kept for the read scatter.
+            f.segs = std::move(segs);
+            enqueue(std::move(f));
             return;
         }
-        enqueue(std::move(f));
-    });
+        // Gather the payload from upstream memory (host natively, or
+        // chip memory when behind BM-Store), then go on the wire with
+        // command + data.
+        auto send = [this, f = std::move(f)](sim::Payload data) mutable {
+            f.data = std::move(data);
+            enqueue(std::move(f));
+        };
+        nvme::gatherPayload(*_up, segs, true, std::move(send));
+    };
+    nvme::resolveSegments(*_up, sqe, std::move(start));
 }
 
 void
@@ -172,13 +130,17 @@ RemoteNvmeDevice::sendAttempt(Flight f)
     io.isFlush = f.isFlush;
     io.offset = f.sqe.slba() * nvme::kBlockSize;
     io.len = static_cast<std::uint32_t>(len);
-    io.data = f.data;
+    if (is_write)
+        io.data = f.data;
     // Runs on the server when the request completes there; the
     // response message (and read data) then crosses the wire back.
-    io.done = [this, id, is_read, len](bool ok) {
+    io.done = [this, id, is_read, len](bool ok, sim::Payload data) {
         std::uint64_t resp = pcie::kCqeBytes + (is_read && ok ? len : 0);
         _rxBytes += resp;
-        _link.send(1, resp, [this, id, ok] { onResponse(id, ok); });
+        _link.send(1, resp,
+                   [this, id, ok, data = std::move(data)]() mutable {
+                       onResponse(id, ok, std::move(data));
+                   });
     };
 
     _pending.emplace(id, std::move(f));
@@ -192,7 +154,7 @@ RemoteNvmeDevice::sendAttempt(Flight f)
 }
 
 void
-RemoteNvmeDevice::onResponse(std::uint64_t id, bool ok)
+RemoteNvmeDevice::onResponse(std::uint64_t id, bool ok, sim::Payload data)
 {
     auto it = _pending.find(id);
     if (it == _pending.end()) {
@@ -203,6 +165,8 @@ RemoteNvmeDevice::onResponse(std::uint64_t id, bool ok)
     }
     Flight f = std::move(it->second);
     _pending.erase(it);
+    if (!f.isWrite)
+        f.data = std::move(data);
     finishFlight(std::move(f), ok);
 }
 
@@ -243,12 +207,9 @@ RemoteNvmeDevice::finishFlight(Flight f, bool ok)
         return;
     }
     // Read: scatter the returned payload to the upstream buffers.
-    auto data = f.data;
-    auto segs = std::make_shared<std::vector<nvme::DmaSegment>>(
-        std::move(f.segs));
     std::uint16_t sqid = f.sqid;
     std::uint16_t cid = f.sqe.cid;
-    dmaSegments(*segs, true, data->data(), [this, data, segs, sqid, cid] {
+    nvme::scatterPayload(*_up, f.segs, std::move(f.data), [this, sqid, cid] {
         _ctrl->complete(sqid, cid, Status::Success);
     });
 }

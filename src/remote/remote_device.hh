@@ -129,8 +129,9 @@ class RemoteNvmeDevice : public sim::SimObject, public pcie::PcieDeviceIf
         bool isWrite = false;
         bool isFlush = false;
         std::uint64_t len = 0;
-        /** Payload: gathered for writes, filled by the server for reads. */
-        std::shared_ptr<std::vector<std::uint8_t>> data;
+        /** Payload: gathered for writes, returned by the server for
+         *  reads. */
+        sim::Payload data;
         /** Upstream DMA layout, kept for the read scatter. */
         std::vector<nvme::DmaSegment> segs;
         int attempt = 0;
@@ -140,17 +141,9 @@ class RemoteNvmeDevice : public sim::SimObject, public pcie::PcieDeviceIf
     void enqueue(Flight f);
     void pump();
     void sendAttempt(Flight f);
-    void onResponse(std::uint64_t id, bool ok);
+    void onResponse(std::uint64_t id, bool ok, sim::Payload data);
     void onTimeout(std::uint64_t id);
     void finishFlight(Flight f, bool ok);
-
-    /** SsdDevice-style PRP walk through the upstream interface. */
-    void resolveSegments(const nvme::Sqe &sqe,
-                         std::function<void(std::vector<nvme::DmaSegment>)>
-                             then);
-    void dmaSegments(const std::vector<nvme::DmaSegment> &segs,
-                     bool to_host, std::uint8_t *buf,
-                     std::function<void()> done);
 
     NetworkLink &_link;
     StorageServer &_server;

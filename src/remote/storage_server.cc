@@ -87,7 +87,7 @@ StorageServer::execute(int volume, RemoteIo io)
     }
     const Volume &vol = _volumes.at(static_cast<std::size_t>(volume));
     if (!io.isFlush && io.offset + io.len > vol.length) {
-        io.done(false);
+        io.done(false, {});
         return;
     }
     BMS_ASSERT_LE(io.len, _cfg.maxIoBytes,
@@ -117,11 +117,10 @@ void
 StorageServer::startIo(const Volume &vol, RemoteIo io, std::uint64_t buf)
 {
     // Stage write payloads into server memory so the disk's DMA pulls
-    // the real bytes (functional disks store them; timing-only disks
+    // the real data (functional disks store it; timing-only disks
     // just pay the transfer cost).
-    if (io.isWrite && io.data) {
-        _host->memory().write(buf, io.len, io.data->data());
-    }
+    if (io.isWrite && !io.data.empty())
+        _host->memory().writePayload(buf, io.data);
     host::BlockRequest req;
     req.op = io.isFlush ? host::BlockRequest::Op::Flush
                         : (io.isWrite ? host::BlockRequest::Op::Write
@@ -131,14 +130,9 @@ StorageServer::startIo(const Volume &vol, RemoteIo io, std::uint64_t buf)
     req.dataAddr = buf;
     auto shared = std::make_shared<RemoteIo>(std::move(io));
     req.done = [this, shared, buf](bool ok) {
-        if (!shared->isWrite && !shared->isFlush && ok) {
-            // Fill the initiator-provided buffer in place (the client
-            // holds the same shared vector), or create one.
-            if (!shared->data)
-                shared->data = std::make_shared<std::vector<std::uint8_t>>(
-                    shared->len);
-            _host->memory().read(buf, shared->len, shared->data->data());
-        }
+        sim::Payload data;
+        if (!shared->isWrite && !shared->isFlush && ok)
+            data = _host->memory().readPayload(buf, shared->len);
         // Recycle the buffer (possibly into a queued request) before
         // completing, so completion fan-out can't starve the pool.
         if (_bufWaiters.empty()) {
@@ -154,7 +148,7 @@ StorageServer::startIo(const Volume &vol, RemoteIo io, std::uint64_t buf)
             ++_dropped;
             return;
         }
-        shared->done(ok);
+        shared->done(ok, std::move(data));
     };
     _drivers[static_cast<std::size_t>(vol.disk)]->submit(std::move(req));
 }

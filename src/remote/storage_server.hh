@@ -20,6 +20,7 @@
 #include "baselines/spdk_vhost.hh"
 #include "host/host_system.hh"
 #include "host/nvme_driver.hh"
+#include "sim/payload.hh"
 #include "sim/simulator.hh"
 #include "ssd/ssd_device.hh"
 
@@ -33,13 +34,13 @@ struct RemoteIo
     std::uint64_t offset = 0;
     std::uint32_t len = 0;
     /**
-     * Functional payload: carried with the request for writes, filled
-     * by the server for successful reads. Null for flushes and
-     * timing-only traffic (the server then moves no real bytes).
+     * Write payload carried with the request; empty for reads and
+     * flushes. A write without one stages no data (timing only).
      */
-    std::shared_ptr<std::vector<std::uint8_t>> data;
-    /** Completion with success flag (runs on the server side). */
-    std::function<void(bool)> done;
+    sim::Payload data;
+    /** Completion with success flag and, for a successful read, the
+     *  data read (runs on the server side). */
+    std::function<void(bool ok, sim::Payload data)> done;
 };
 
 /** The target machine. */

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "nvme/dma.hh"
+
 namespace bms::ssd {
 
 using nvme::AdminOpcode;
@@ -151,49 +153,6 @@ SsdDevice::dispatchIo(const Sqe &sqe, std::uint16_t sqid)
 }
 
 void
-SsdDevice::resolveSegments(
-    const Sqe &sqe, std::function<void(std::vector<nvme::DmaSegment>)> then)
-{
-    std::uint64_t len = sqe.dataBytes();
-    if (!nvme::needsPrpList(sqe.prp1, len)) {
-        then(nvme::decodePrp(sqe.prp1, sqe.prp2, len, {}));
-        return;
-    }
-    // Fetch the PRP list from upstream memory (host DRAM natively;
-    // BMS-Engine chip memory when behind BM-Store).
-    std::uint32_t entries = nvme::prpPageCount(sqe.prp1, len) - 1;
-    auto raw = std::make_shared<std::vector<std::uint64_t>>(entries);
-    _up->dmaRead(sqe.prp2,
-                 static_cast<std::uint32_t>(entries * sizeof(std::uint64_t)),
-                 reinterpret_cast<std::uint8_t *>(raw->data()),
-                 [sqe, len, raw, then = std::move(then)] {
-                     then(nvme::decodePrp(sqe.prp1, sqe.prp2, len, *raw));
-                 });
-}
-
-void
-SsdDevice::dmaSegments(const std::vector<nvme::DmaSegment> &segs,
-                       bool to_host, std::uint8_t *buf,
-                       std::function<void()> done)
-{
-    BMS_ASSERT(!segs.empty(), "DMA with no PRP segments");
-    auto remaining = std::make_shared<std::size_t>(segs.size());
-    auto fire = [remaining, done = std::move(done)] {
-        if (--*remaining == 0)
-            done();
-    };
-    std::uint64_t off = 0;
-    for (const auto &seg : segs) {
-        std::uint8_t *p = buf ? buf + off : nullptr;
-        if (to_host)
-            _up->dmaWrite(seg.addr, seg.len, p, fire);
-        else
-            _up->dmaRead(seg.addr, seg.len, p, fire);
-        off += seg.len;
-    }
-}
-
-void
 SsdDevice::doRead(const Sqe &sqe, std::uint16_t sqid)
 {
     if (!checkRange(sqe, sqid))
@@ -211,23 +170,23 @@ SsdDevice::doRead(const Sqe &sqe, std::uint16_t sqid)
                      });
         return;
     }
-    std::uint64_t len = sqe.dataBytes();
-    std::uint64_t media_off = sqe.slba() * nvme::kBlockSize;
     // Media access first; then the data is DMA'd to the host buffers.
+    auto len = static_cast<std::uint32_t>(sqe.dataBytes());
+    std::uint64_t media_off = sqe.slba() * nvme::kBlockSize;
     _media->read(media_off, len, [this, sqe, sqid, len, media_off] {
-        resolveSegments(sqe, [this, sqe, sqid, len, media_off](
-                                 std::vector<nvme::DmaSegment> segs) {
-            std::shared_ptr<std::vector<std::uint8_t>> data;
-            std::uint8_t *ptr = nullptr;
-            if (_cfg.functionalData) {
-                data = std::make_shared<std::vector<std::uint8_t>>(len);
-                _flash.read(media_off, len, data->data());
-                ptr = data->data();
-            }
-            dmaSegments(segs, true, ptr, [this, sqe, sqid, data] {
-                _ctrl->complete(sqid, sqe.cid, Status::Success);
-            });
-        });
+        auto scatter = [this, sqe, sqid, len,
+                        media_off](std::vector<nvme::DmaSegment> segs) {
+            // The flash image is taken when the DMA starts.
+            sim::Payload data;
+            if (_cfg.functionalData)
+                data = _flash.readPayload(media_off, len);
+            nvme::scatterPayload(*_up, segs, std::move(data),
+                                 [this, sqe, sqid] {
+                                     _ctrl->complete(sqid, sqe.cid,
+                                                     Status::Success);
+                                 });
+        };
+        nvme::resolveSegments(*_up, sqe, std::move(scatter));
     });
 }
 
@@ -250,23 +209,18 @@ SsdDevice::doWrite(const Sqe &sqe, std::uint16_t sqid)
     }
     std::uint64_t len = sqe.dataBytes();
     std::uint64_t media_off = sqe.slba() * nvme::kBlockSize;
-    resolveSegments(sqe, [this, sqe, sqid, len, media_off](
-                             std::vector<nvme::DmaSegment> segs) {
-        std::shared_ptr<std::vector<std::uint8_t>> data;
-        std::uint8_t *ptr = nullptr;
-        if (_cfg.functionalData) {
-            data = std::make_shared<std::vector<std::uint8_t>>(len);
-            ptr = data->data();
-        }
-        dmaSegments(segs, false, ptr,
-                    [this, sqe, sqid, len, media_off, data] {
-                        if (data)
-                            _flash.write(media_off, len, data->data());
-                        _media->write(media_off, len, [this, sqe, sqid] {
-                            _ctrl->complete(sqid, sqe.cid, Status::Success);
-                        });
-                    });
-    });
+    auto commit = [this, sqe, sqid, len, media_off](sim::Payload data) {
+        if (_cfg.functionalData)
+            _flash.writePayload(media_off, data);
+        _media->write(media_off, len, [this, sqe, sqid] {
+            _ctrl->complete(sqid, sqe.cid, Status::Success);
+        });
+    };
+    nvme::resolveSegments(
+        *_up, sqe,
+        [this, commit](std::vector<nvme::DmaSegment> segs) {
+            nvme::gatherPayload(*_up, segs, _cfg.functionalData, commit);
+        });
 }
 
 void

@@ -182,18 +182,6 @@ class SsdDevice : public sim::SimObject, public pcie::PcieDeviceIf
     void doWriteZeroes(const nvme::Sqe &sqe, std::uint16_t sqid);
     void doFlush(const nvme::Sqe &sqe, std::uint16_t sqid);
 
-    /**
-     * Resolve the command's PRPs into DMA segments, fetching the PRP
-     * list over the upstream link when present.
-     */
-    void resolveSegments(
-        const nvme::Sqe &sqe,
-        std::function<void(std::vector<nvme::DmaSegment>)> then);
-
-    /** Run @p done once per-segment DMA of @p buf has finished. */
-    void dmaSegments(const std::vector<nvme::DmaSegment> &segs, bool to_host,
-                     std::uint8_t *buf, std::function<void()> done);
-
     bool checkRange(const nvme::Sqe &sqe, std::uint16_t sqid);
 
     Config _cfg;

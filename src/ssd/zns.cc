@@ -115,18 +115,15 @@ ZnsSsd::doRead(const Sqe &sqe, std::uint16_t sqid)
     std::uint64_t len = sqe.dataBytes();
     std::uint64_t off = sqe.slba() * nvme::kBlockSize;
     _media->read(off, len, [this, sqe, sqid, len, off] {
-        std::shared_ptr<std::vector<std::uint8_t>> data;
-        const std::uint8_t *ptr = nullptr;
-        if (_cfg.functionalData) {
-            data = std::make_shared<std::vector<std::uint8_t>>(len);
-            _flash.read(off, len, data->data());
-            ptr = data->data();
-        }
-        _up->dmaWrite(sqe.prp1, static_cast<std::uint32_t>(len), ptr,
-                      [this, sqe, sqid, data] {
-                          _ctrl->complete(sqid, sqe.cid,
-                                          Status::Success);
-                      });
+        auto bytes = static_cast<std::uint32_t>(len);
+        sim::Payload data;
+        if (_cfg.functionalData)
+            data = _flash.readPayload(off, bytes);
+        _up->dmaWritePayload(sqe.prp1, bytes, std::move(data),
+                             [this, sqe, sqid] {
+                                 _ctrl->complete(sqid, sqe.cid,
+                                                 Status::Success);
+                             });
     });
 }
 
@@ -243,27 +240,19 @@ ZnsSsd::doWrite(const Sqe &sqe, std::uint16_t sqid, bool is_append)
     std::uint64_t off = assigned * nvme::kBlockSize;
     // Fetch the payload, commit to media, complete (dw0 = assigned
     // LBA for appends).
-    std::shared_ptr<std::vector<std::uint8_t>> data;
-    std::uint8_t *ptr = nullptr;
-    if (_cfg.functionalData) {
-        data = std::make_shared<std::vector<std::uint8_t>>(len);
-        ptr = data->data();
-    }
-    _up->dmaRead(sqe.prp1, static_cast<std::uint32_t>(len), ptr,
-                 [this, sqe, sqid, len, off, assigned, is_append,
-                  data] {
-                     if (data)
-                         _flash.write(off, static_cast<std::uint32_t>(len),
-                                      data->data());
-                     _media->write(off, len, [this, sqe, sqid, assigned,
-                                              is_append] {
-                         _ctrl->complete(
-                             sqid, sqe.cid, Status::Success,
-                             is_append
-                                 ? static_cast<std::uint32_t>(assigned)
-                                 : 0);
-                     });
-                 });
+    _up->dmaReadPayload(
+        sqe.prp1, static_cast<std::uint32_t>(len), _cfg.functionalData,
+        [this, sqe, sqid, len, off, assigned,
+         is_append](sim::Payload data) {
+            if (_cfg.functionalData)
+                _flash.writePayload(off, data);
+            _media->write(off, len, [this, sqe, sqid, assigned, is_append] {
+                _ctrl->complete(sqid, sqe.cid, Status::Success,
+                                is_append
+                                    ? static_cast<std::uint32_t>(assigned)
+                                    : 0);
+            });
+        });
 }
 
 void

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "tests/test_util.hh"
@@ -94,6 +96,39 @@ TEST(BmsEngine, SingleChunkDataIntegrity)
     std::vector<std::uint8_t> got(16384);
     mem.read(rbuf, 16384, got.data());
     EXPECT_EQ(got, data);
+}
+
+// Unaligned host buffers: PRP1 carries a page offset, so every DMA
+// piece is a partial page that must be carried as exact bytes, in
+// both routing modes. Bytes around the read buffer stay untouched.
+TEST(BmsEngine, UnalignedPrp1RoundTripsExactBytes)
+{
+    for (bool zero_copy : {true, false}) {
+        harness::TestbedConfig cfg = bmsConfig(1);
+        cfg.engine.zeroCopy = zero_copy;
+        harness::BmStoreTestbed bed(cfg);
+        host::NvmeDriver &disk = bed.attachTenant(0, sim::gib(128));
+        auto &mem = bed.host().memory();
+
+        constexpr std::uint32_t kLen = 12288; // 4 host pages unaligned
+        auto data = pattern(kLen, 0x5a);
+        std::uint64_t wbuf = mem.alloc(kLen + 4096) + 100;
+        mem.write(wbuf, kLen, data.data());
+        ASSERT_TRUE(doIo(bed, disk, host::BlockRequest::Op::Write,
+                         sim::mib(64), kLen, wbuf));
+
+        auto guard = pattern(kLen + 8192, 0xc3);
+        std::uint64_t area = mem.alloc(guard.size());
+        mem.write(area, guard.size(), guard.data());
+        std::uint64_t rbuf = area + 4096 + 2050;
+        ASSERT_TRUE(doIo(bed, disk, host::BlockRequest::Op::Read,
+                         sim::mib(64), kLen, rbuf));
+        std::vector<std::uint8_t> got(guard.size());
+        mem.read(area, got.size(), got.data());
+        std::vector<std::uint8_t> want = guard;
+        std::copy(data.begin(), data.end(), want.begin() + 4096 + 2050);
+        EXPECT_EQ(got, want) << "zeroCopy=" << zero_copy;
+    }
 }
 
 TEST(BmsEngine, CrossChunkWriteSplitsAcrossSsds)

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "fuzz/fleet_fuzzer.hh"
 #include "fuzz/fuzzer.hh"
 #include "fuzz/op_log.hh"
@@ -321,6 +325,103 @@ TEST(Fuzz, OracleCatchesTornBlock)
         test::runUntil(bed.sim(), [] { return false; },
                        sim::milliseconds(5));
     }());
+}
+
+// Planted torn page: the oracle's flash page is a repeat-unit image;
+// overwriting its second half with the bytes of an older stamp's
+// pattern turns it into a byte page, and the word-by-word check must
+// find the tear exactly where the foreign half starts.
+TEST(Fuzz, OracleCatchesTornRepeatPage)
+{
+    harness::TestbedConfig cfg;
+    cfg.ssdCount = 1;
+    cfg.ssd.functionalData = true;
+    harness::BmStoreTestbed bed(cfg);
+    host::NvmeDriver &disk = bed.attachTenant(0, sim::gib(64));
+
+    fuzz::OpLog log(64);
+    fuzz::OracleDevice::Config ocfg;
+    ocfg.uid = 1;
+    ocfg.baseOffset = 0;
+    ocfg.regionBytes = sim::mib(1);
+    auto &oracle = *bed.sim().make<fuzz::OracleDevice>(
+        bed.sim(), "oracle", disk, bed.host().memory(), log, ocfg);
+
+    bool wrote = false;
+    oracle.write(0, 1, [&](bool ok) { wrote = ok; });
+    ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return wrote; }));
+    sim::SparseMemory &flash = bed.ssd(0).flash();
+    ASSERT_NE(flash.page(0), nullptr);
+    ASSERT_TRUE(flash.page(0)->repeating());
+    std::vector<std::uint8_t> old_stamp(4096);
+    flash.read(0, 4096, old_stamp.data());
+
+    wrote = false;
+    oracle.write(0, 1, [&](bool ok) { wrote = ok; });
+    ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return wrote; }));
+    ASSERT_TRUE(flash.page(0)->repeating());
+    flash.write(2048, 2048, old_stamp.data() + 2048);
+    ASSERT_FALSE(flash.page(0)->repeating());
+
+    std::string report;
+    try {
+        sim::ScopedPanicMode guard(sim::PanicMode::Throw);
+        oracle.read(0, 1, nullptr);
+        test::runUntil(bed.sim(), [] { return false; },
+                       sim::milliseconds(5));
+    } catch (const sim::SimPanic &p) {
+        report = p.what();
+    }
+    EXPECT_NE(report.find("torn at word 256"), std::string::npos)
+        << report;
+}
+
+// The typed op log prints the oracle's I/O lines in their fixed text
+// format (scripts and humans grep it), oldest first, with ring wrap
+// accounting.
+TEST(Fuzz, OpLogDumpFormat)
+{
+    fuzz::OpLog log(8);
+    log.record(5, "run start: seed=7");
+    log.record(10, fuzz::OpLog::Kind::Write, "t0.oracle", 3, 2, 5);
+    log.record(20, fuzz::OpLog::Kind::Read, "t0.oracle", 3, 2);
+    log.record(30, fuzz::OpLog::Kind::Trim, "t0.oracle", 8, 1);
+    log.record(40, fuzz::OpLog::Kind::Flush, "t0.oracle");
+    log.record(50, fuzz::OpLog::Kind::WriteFailed, "t0.oracle", 0, 0, 6);
+    log.record(60, fuzz::OpLog::Kind::ReadFailed, "t0.oracle", 4);
+    log.record(70, fuzz::OpLog::Kind::TrimFailed, "t0.oracle", 9);
+    std::ostringstream full;
+    log.dump(full);
+    EXPECT_EQ(full.str(),
+              "---- fuzz op log (last 8 of 8 ops) ----\n"
+              "  [5] run start: seed=7\n"
+              "  [10] t0.oracle write  blk=3+2 stamp=5\n"
+              "  [20] t0.oracle read   blk=3+2\n"
+              "  [30] t0.oracle trim   blk=8+1\n"
+              "  [40] t0.oracle flush\n"
+              "  [50] t0.oracle write-FAILED(excused) stamp=6\n"
+              "  [60] t0.oracle read-FAILED(excused) blk=4\n"
+              "  [70] t0.oracle trim-FAILED(excused) blk=9\n"
+              "---- end op log ----\n");
+
+    // Wrapping overwrites the oldest entries, text and typed alike.
+    log.record(80, "fault window OPEN");
+    log.record(90, fuzz::OpLog::Kind::Write, "t1.oracle", 12345678901ULL,
+               32, 18446744073709551615ULL);
+    std::ostringstream wrapped;
+    log.dump(wrapped);
+    EXPECT_EQ(wrapped.str(),
+              "---- fuzz op log (last 8 of 10 ops) ----\n"
+              "  [20] t0.oracle read   blk=3+2\n"
+              "  [30] t0.oracle trim   blk=8+1\n"
+              "  [40] t0.oracle flush\n"
+              "  [50] t0.oracle write-FAILED(excused) stamp=6\n"
+              "  [60] t0.oracle read-FAILED(excused) blk=4\n"
+              "  [70] t0.oracle trim-FAILED(excused) blk=9\n"
+              "  [80] fault window OPEN\n"
+              "  [90] t1.oracle write  blk=12345678901+32 "
+              "stamp=18446744073709551615\n"
+              "---- end op log ----\n");
 }
 
 // Unwritten blocks must read back all-zero (stamp 0): the final

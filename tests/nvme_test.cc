@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "nvme/defs.hh"
+#include "nvme/dma.hh"
 #include "nvme/prp.hh"
+#include "sim/simulator.hh"
 #include "sim/sparse_memory.hh"
+#include "tests/test_util.hh"
 
 using namespace bms::nvme;
 
@@ -28,6 +31,16 @@ class TestMemory : public bms::pcie::MemoryIf
           const std::uint8_t *data) override
     {
         _mem.write(addr, len, data);
+    }
+    bms::sim::Payload
+    readPayload(std::uint64_t addr, std::uint32_t len) override
+    {
+        return _mem.readPayload(addr, len);
+    }
+    void
+    writePayload(std::uint64_t addr, const bms::sim::Payload &data) override
+    {
+        _mem.writePayload(addr, data);
     }
 
   private:
@@ -173,6 +186,70 @@ TEST(Prp, OffsetFirstPage)
     EXPECT_EQ(segs[0].len, 2048u);
     EXPECT_EQ(segs[1].addr, 0x20000u);
     EXPECT_EQ(segs[1].len, 2048u);
+}
+
+// Scattered PRP segments (an unaligned first piece, a repeat-image
+// page, a page and a half) gather into one payload holding exactly the
+// bytes of the segments in order, and scatter back out exactly.
+TEST(Dma, ScatteredSegmentsGatherAndScatterExactBytes)
+{
+    using bms::sim::PageImage;
+    using bms::sim::Payload;
+    bms::sim::Simulator sim(1);
+    bms::test::FakeUpstream up(sim);
+    PageImage::Unit unit;
+    for (std::uint32_t i = 0; i < unit.size(); ++i)
+        unit[i] = static_cast<std::uint8_t>(0xa0 + i);
+    std::vector<std::uint8_t> noise(3 * 4096);
+    for (std::size_t i = 0; i < noise.size(); ++i)
+        noise[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    up.memory.write(0x10000, 4096, noise.data());
+    up.memory.writePage(0x30000, PageImage(unit));
+    up.memory.writePage(0x50000, PageImage(unit));
+    up.memory.write(0x51000, 4096, noise.data() + 4096);
+
+    const std::vector<DmaSegment> src = {
+        {0x10800, 2048}, {0x30000, 4096}, {0x50000, 6144}};
+    std::vector<std::uint8_t> want;
+    for (const DmaSegment &seg : src) {
+        std::vector<std::uint8_t> piece(seg.len);
+        up.memory.read(seg.addr, seg.len, piece.data());
+        want.insert(want.end(), piece.begin(), piece.end());
+    }
+
+    int gathered = 0;
+    Payload data;
+    gatherPayload(up, src, true, [&](Payload p) {
+        ++gathered;
+        data = std::move(p);
+    });
+    sim.runUntil(sim.now() + 10);
+    ASSERT_EQ(gathered, 1);
+    ASSERT_EQ(data.size(), want.size());
+    std::vector<std::uint8_t> got(want.size());
+    data.read(0, data.size(), got.data());
+    EXPECT_EQ(got, want);
+
+    const std::vector<DmaSegment> dst = {{0x90000, 4096}, {0xa0100, 8192}};
+    int scattered = 0;
+    scatterPayload(up, dst, data, [&] { ++scattered; });
+    sim.runUntil(sim.now() + 10);
+    ASSERT_EQ(scattered, 1);
+    std::vector<std::uint8_t> out(want.size());
+    up.memory.read(0x90000, 4096, out.data());
+    up.memory.read(0xa0100, 8192, out.data() + 4096);
+    EXPECT_EQ(out, want);
+
+    // Timing only: one completion, no payload, no memory touched.
+    std::size_t pages = up.memory.allocatedPages();
+    Payload none = Payload::zeros(4096);
+    gatherPayload(up, src, false, [&](Payload p) { none = std::move(p); });
+    scatterPayload(up, {{0xc0000, 4096}, {0xd0000, 4096}}, Payload{},
+                   [&] { ++scattered; });
+    sim.runUntil(sim.now() + 10);
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(scattered, 2);
+    EXPECT_EQ(up.memory.allocatedPages(), pages);
 }
 
 /** Property sweep: build+decode covers the transfer exactly once. */

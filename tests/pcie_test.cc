@@ -49,6 +49,25 @@ TEST(Link, UtilizationFraction)
     EXPECT_NEAR(ch.utilization(sim::milliseconds(1)), 0.5, 0.01);
 }
 
+// Utilization is accumulated busy time, not the last busy-until tick:
+// an idle gap before a late transfer does not count as busy.
+TEST(Link, UtilizationCountsBusyTimeNotBusyUntil)
+{
+    pcie::LinkChannel ch(sim::Bandwidth::gbPerSec(1.0), 0);
+    ch.reserve(0, 100'000);                        // [0, 100 us)
+    ch.reserve(sim::microseconds(900), 100'000);   // [900, 1000 us)
+    EXPECT_EQ(ch.busyTime(), sim::microseconds(200));
+    EXPECT_EQ(ch.busyUntil(), sim::microseconds(1000));
+    EXPECT_NEAR(ch.utilization(sim::milliseconds(1)), 0.2, 1e-9);
+    // Mid-transfer: only the part already serialized counts.
+    EXPECT_NEAR(ch.utilization(sim::microseconds(950)), 150.0 / 950.0,
+                1e-9);
+    // A transfer still serializing counts only up to now.
+    ch.reserve(sim::microseconds(1000), 1'000'000);
+    EXPECT_NEAR(ch.utilization(sim::microseconds(1500)), 700.0 / 1500.0,
+                1e-9);
+}
+
 namespace {
 
 /** Minimal device recording MMIO writes and their arrival times. */

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "harness/runner.hh"
@@ -489,6 +491,141 @@ TEST(SparseMemory, UnwrittenReadsZero)
     for (std::uint8_t b : out)
         EXPECT_EQ(b, 0);
     EXPECT_EQ(m.allocatedPages(), 0u);
+}
+
+namespace {
+
+/** A 32-byte repeat unit whose bytes are base, base+1, ... */
+PageImage::Unit
+countingUnit(std::uint8_t base)
+{
+    PageImage::Unit u;
+    for (std::uint32_t i = 0; i < PageImage::kUnitBytes; ++i)
+        u[i] = static_cast<std::uint8_t>(base + i);
+    return u;
+}
+
+} // namespace
+
+TEST(SparseMemory, RepeatPageReadsBackExactBytes)
+{
+    SparseMemory m;
+    PageImage::Unit unit = countingUnit(7);
+    m.writePage(2 * 4096, PageImage(unit));
+    ASSERT_NE(m.page(2 * 4096), nullptr);
+    EXPECT_TRUE(m.page(2 * 4096)->repeating());
+
+    std::vector<std::uint8_t> out(4096);
+    m.read(2 * 4096, 4096, out.data());
+    for (std::uint32_t i = 0; i < 4096; ++i)
+        ASSERT_EQ(out[i], unit[i % 32]) << "byte " << i;
+    // An unaligned read straddling into the absent next page.
+    std::uint8_t tail[40];
+    m.read(3 * 4096 - 20, 40, tail);
+    for (int i = 0; i < 20; ++i)
+        EXPECT_EQ(tail[i], unit[(4096 - 20 + i) % 32]);
+    for (int i = 20; i < 40; ++i)
+        EXPECT_EQ(tail[i], 0);
+
+    // A payload read of the page carries the image, not bytes.
+    Payload p = m.readPayload(2 * 4096, 4096);
+    ASSERT_EQ(p.pages().size(), 1u);
+    EXPECT_TRUE(p.pages()[0].repeating());
+    EXPECT_EQ(p.pages()[0].unit(), unit);
+}
+
+TEST(SparseMemory, SmallWriteIntoRepeatPageMaterializesExactly)
+{
+    SparseMemory m;
+    PageImage::Unit unit = countingUnit(100);
+    m.writePage(0, PageImage(unit));
+    std::uint64_t word = 0x1122334455667788ULL;
+    m.write(1000, 8, reinterpret_cast<const std::uint8_t *>(&word));
+    ASSERT_FALSE(m.page(0)->repeating());
+
+    std::vector<std::uint8_t> out(4096);
+    m.read(0, 4096, out.data());
+    for (std::uint32_t i = 0; i < 4096; ++i) {
+        if (i >= 1000 && i < 1008)
+            continue;
+        ASSERT_EQ(out[i], unit[i % 32]) << "byte " << i;
+    }
+    std::uint64_t got = 0;
+    std::memcpy(&got, out.data() + 1000, 8);
+    EXPECT_EQ(got, word);
+}
+
+TEST(SparseMemory, ClearRangeOverRepeatPages)
+{
+    SparseMemory m;
+    PageImage::Unit unit = countingUnit(1);
+    for (std::uint64_t p = 0; p < 4; ++p)
+        m.writePage(p * 4096, PageImage(unit));
+    // Drops pages 1 and 2 whole; zero-fills the tail of page 0 and
+    // the head of page 3.
+    m.clearRange(4096 - 64, 2 * 4096 + 128);
+    EXPECT_EQ(m.allocatedPages(), 2u);
+    EXPECT_EQ(m.page(4096), nullptr);
+    EXPECT_EQ(m.page(2 * 4096), nullptr);
+
+    std::vector<std::uint8_t> out(4 * 4096);
+    m.read(0, out.size(), out.data());
+    for (std::uint32_t i = 0; i < out.size(); ++i) {
+        bool cleared = i >= 4096 - 64 && i < 3 * 4096 + 64;
+        ASSERT_EQ(out[i], cleared ? 0 : unit[i % 32]) << "byte " << i;
+    }
+}
+
+TEST(SparseMemory, AllocatedPagesCountsEveryState)
+{
+    // The same pages written as bytes, as repeat images, and as a
+    // payload (one unaligned piece) count the same.
+    std::vector<std::uint8_t> zeros(3 * 4096, 0);
+    SparseMemory bytes;
+    bytes.write(4096, zeros.size(), zeros.data());
+    SparseMemory images;
+    for (std::uint64_t p = 1; p <= 3; ++p)
+        images.writePage(p * 4096, PageImage{});
+    SparseMemory mixed;
+    Payload pl = Payload::zeros(2 * 4096);
+    mixed.writePayload(4096, pl);
+    mixed.write(3 * 4096 + 10, 8, zeros.data());
+    EXPECT_EQ(bytes.allocatedPages(), 3u);
+    EXPECT_EQ(images.allocatedPages(), 3u);
+    EXPECT_EQ(mixed.allocatedPages(), 3u);
+    // Reads never allocate; whole-page clears drop in every state.
+    std::uint8_t out[8];
+    images.read(40 * 4096, 8, out);
+    Payload none = images.readPayload(50 * 4096, 4096);
+    EXPECT_EQ(none.size(), 4096u);
+    EXPECT_EQ(images.allocatedPages(), 3u);
+    for (SparseMemory *m : {&bytes, &images, &mixed}) {
+        m->clearRange(4096, 3 * 4096);
+        EXPECT_EQ(m->allocatedPages(), 0u);
+    }
+}
+
+TEST(SparseMemory, UnalignedPayloadRoundTripsExactBytes)
+{
+    SparseMemory src;
+    PageImage::Unit unit = countingUnit(33);
+    src.writePage(0, PageImage(unit));
+    src.writePage(4096, PageImage(countingUnit(77)));
+    // An unaligned 5000-byte piece comes out as exact bytes...
+    Payload p = src.readPayload(100, 5000);
+    EXPECT_EQ(p.size(), 5000u);
+    SparseMemory dst;
+    // ...and lands as exact bytes at another unaligned address.
+    dst.writePayload(3 * 4096 + 7, p);
+    std::vector<std::uint8_t> want(5000), got(5000);
+    src.read(100, 5000, want.data());
+    dst.read(3 * 4096 + 7, 5000, got.data());
+    EXPECT_EQ(got, want);
+    // Slicing at an unaligned offset materialises the same bytes.
+    Payload s = p.slice(1234, 2000);
+    std::vector<std::uint8_t> piece(2000);
+    s.read(0, 2000, piece.data());
+    EXPECT_TRUE(std::equal(piece.begin(), piece.end(), want.begin() + 1234));
 }
 
 TEST(TimeSeries, BucketsByTime)

@@ -263,6 +263,13 @@ struct EnvelopeCase
     double lat_lo_us, lat_hi_us;
 };
 
+/** Name the case by its fio job so test names stay stable across builds
+ *  (the default printer dumps the struct bytes, pointer included). */
+void PrintTo(const EnvelopeCase &c, std::ostream *os)
+{
+    *os << '"' << c.name << '"';
+}
+
 class NativeEnvelope : public ::testing::TestWithParam<EnvelopeCase>
 {
 };

@@ -67,6 +67,30 @@ class FakeUpstream : public pcie::PcieUpstreamIf
     }
 
     void
+    dmaReadPayload(std::uint64_t addr, std::uint32_t len, bool functional,
+                   std::function<void(sim::Payload)> done) override
+    {
+        _sim.scheduleAfter(1, [this, addr, len, functional,
+                               done = std::move(done)] {
+            done(functional ? memory.readPayload(addr, len)
+                            : sim::Payload{});
+        });
+    }
+
+    void
+    dmaWritePayload(std::uint64_t addr, std::uint32_t len,
+                    sim::Payload data, std::function<void()> done) override
+    {
+        (void)len;
+        _sim.scheduleAfter(1, [this, addr, data = std::move(data),
+                               done = std::move(done)] {
+            if (!data.empty())
+                memory.writePayload(addr, data);
+            done();
+        });
+    }
+
+    void
     msix(pcie::FunctionId fn, std::uint16_t vector) override
     {
         interrupts.emplace_back(fn, vector);
