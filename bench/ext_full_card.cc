@@ -1,14 +1,15 @@
 /**
  * @file
- * Extension bench: full-card 124-VF fan-out on the sharded engine.
+ * Extension bench: full-card 124-VF fan-out on the multi-function
+ * engine.
  *
  * Sweeps the tenant count from a handful of PFs up to all 128
  * functions (4 PFs + 124 VFs, paper §IV-E) against a 4-SSD back end,
  * every tenant hammering 4K random reads through its own multi-SQ
  * NVMe driver. For each point the bench reports the modeled IOPS
  * ceiling and — because the sweep is also the stress test for the
- * per-lane event scheduler — the simulator's own events/sec and wall
- * time. Three gates make it CI-enforceable:
+ * event kernel (one heap carrying ~130 lane tags) — the simulator's
+ * own events/sec and wall time. Three gates make it CI-enforceable:
  *
  *   --scale-floor=R     total IOPS at the largest point must be at
  *                       least R x the smallest point (default 2.0)

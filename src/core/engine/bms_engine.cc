@@ -34,10 +34,8 @@ BmsEngine::BmsEngine(sim::Simulator &sim, std::string name,
             is_pf,
             [this](FrontFunction &fn, const nvme::Sqe &sqe,
                    std::uint16_t sqid) { handleFrontIo(fn, sqe, sqid); }));
-        // Each virtual controller runs on its own event lane so the
-        // 128-function fan-out keeps per-lane heaps small.
-        if (_cfg.perLaneEvents)
-            _functions.back()->setEventLane(sim.createLane());
+        // Each virtual controller tags its events with its own lane.
+        _functions.back()->setEventLane(sim.createLane());
     }
     // The production board exposes two x8 back-end interfaces; every
     // pair of SSD slots shares one (paper §IV-E).
@@ -54,10 +52,8 @@ BmsEngine::BmsEngine(sim::Simulator &sim, std::string name,
             sim, name + ".adaptor" + std::to_string(s),
             static_cast<std::uint8_t>(s), _chip, _cfg, &_dramBusy,
             _ifaceLinks[static_cast<std::size_t>(s / 2)].get()));
-        // One event lane per SSD slot: back-end queueing/completion
-        // traffic stays out of the front-function heaps.
-        if (_cfg.perLaneEvents)
-            _adaptors.back()->setEventLane(sim.createLane());
+        // One event lane per SSD slot.
+        _adaptors.back()->setEventLane(sim.createLane());
     }
 }
 

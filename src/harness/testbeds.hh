@@ -94,13 +94,6 @@ struct TestbedConfig
     remote::RemoteClientConfig remoteClient;
     /// @}
 
-    /**
-     * Per-object event lanes everywhere (engine, SSDs, drivers,
-     * storage nodes). False runs the world on the flat event queue;
-     * the scheduling-equivalence tests compare the two.
-     */
-    bool perLaneEvents = true;
-
     /** Effective SSD config for back-end slot @p slot. */
     const ssd::SsdDevice::Config &
     ssdConfig(int slot) const

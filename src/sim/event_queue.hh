@@ -1,21 +1,20 @@
 /**
  * @file
- * Deterministic discrete-event queue, sharded into per-component
- * event lanes.
+ * Deterministic discrete-event queue with per-component lane tags.
  *
  * Events scheduled at the same tick execute in scheduling order
  * (FIFO), which keeps every experiment bit-for-bit reproducible for a
- * given seed. Internally the queue is split into lanes (one per hot
- * component: front function, SSD slot, host driver, ...); each lane
- * keeps a small binary heap of POD entries while callbacks live in a
- * per-lane slab. A top-level heap merges the lane heads in exact
- * global (when, seq) order, where `seq` is a queue-wide monotone
- * schedule counter — so the execution order is *identical* to a
- * single flat queue regardless of how events are partitioned into
- * lanes. Determinism therefore does not depend on the lane layout.
+ * given seed. The queue is one binary heap of POD entries ordered by
+ * (when, seq), where `seq` is a queue-wide monotone schedule counter;
+ * callbacks live in one slab indexed by the entry. Each entry also
+ * carries the lane (front function, SSD slot, host driver, ...) its
+ * event was scheduled on. The lane is only a tag: it never takes part
+ * in ordering, so execution order does not depend on the lane layout,
+ * and it is published to the lane-conflict audit (sim/lane_audit.hh)
+ * while the event runs.
  *
  * Cancellation tombstones the slab slot; the entry is purged when it
- * reaches its lane head, so cancelled bookkeeping is always bounded
+ * reaches the heap head, so cancelled bookkeeping is always bounded
  * by the heap contents (checkInvariants() enforces the accounting).
  */
 
@@ -44,7 +43,7 @@ inline constexpr LaneId kDefaultLane = 0;
 
 /**
  * Priority queue of timed callbacks with deterministic same-tick
- * ordering, O(log lane-size) schedule/pop, and O(1) cancellation.
+ * ordering, O(log n) schedule/pop, and O(1) cancellation.
  */
 class EventQueue
 {
@@ -60,14 +59,14 @@ class EventQueue
     Tick now() const { return _now; }
 
     /**
-     * Create a new event lane and return its id. Lanes are cheap;
-     * hot components get one each so their heaps stay small and
-     * cache-resident. Never returns kDefaultLane.
+     * Create a new event lane and return its id. A lane is a tag
+     * that names the component an event belongs to; it costs nothing
+     * and does not affect ordering. Never returns kDefaultLane.
      */
     LaneId createLane();
 
     /** Number of lanes (>= 1; lane 0 always exists). */
-    std::size_t laneCount() const { return _lanes.size(); }
+    std::size_t laneCount() const { return _laneCount; }
 
     /**
      * Schedule @p cb to run at absolute time @p when on lane 0.
@@ -123,25 +122,19 @@ class EventQueue
 
     /**
      * Structure-wide self-check (BMS_ASSERT on violation):
-     *  - no lane head is in the past;
+     *  - the heap head is not in the past;
      *  - every heap entry is accounted as either live or cancelled,
      *    so tombstone bookkeeping cannot grow unboundedly;
-     *  - per-lane slab accounting (heap + free list covers the slab);
-     *  - every non-empty lane's head is reachable from the top heap.
+     *  - slab accounting (heap + free list covers the slab).
      * Runs after every pop under Check::paranoid(); tests call it
      * directly.
      */
     void checkInvariants() const;
 
   private:
-    /** EventId layout: generation(32) | lane(14) | slot(18).
-     *  Lanes are per-component, so fleet-scale runs (hundreds of
-     *  cards × ~130 lanes each) need the wide lane space; each lane's
-     *  slab stays far below 256k pending callbacks. */
-    static constexpr unsigned kSlotBits = 18;
-    static constexpr unsigned kLaneBits = 14;
-    static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
-    static constexpr std::uint32_t kMaxLanes = 1u << kLaneBits;
+    /** EventId layout: generation(32) | slot(32). */
+    static constexpr std::uint64_t kMaxSlots = 0xffffffffu;
+    static constexpr std::uint32_t kMaxLanes = 1u << 16; ///< LaneId range
 
     enum class SlotState : std::uint8_t
     {
@@ -156,6 +149,7 @@ class EventQueue
         Tick when;
         std::uint64_t seq;
         std::uint32_t slot;
+        LaneId lane; ///< tag only; never compared
     };
 
     /** Min-heap comparator: earliest (when, seq) at the front. */
@@ -177,54 +171,24 @@ class EventQueue
         SlotState state = SlotState::Free;
     };
 
-    struct Lane
-    {
-        std::vector<HeapEntry> heap; ///< binary heap (EntryLater)
-        std::vector<Slot> slots;     ///< callback slab
-        std::vector<std::uint32_t> freeSlots;
-        std::size_t cancelled = 0; ///< tombstones still in `heap`
-    };
-
-    /** Lazily-maintained reference to a lane head. */
-    struct TopEntry
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::uint32_t lane;
-    };
-
-    struct TopLater
-    {
-        bool
-        operator()(const TopEntry &a, const TopEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
     static EventId
-    makeId(std::uint32_t gen, LaneId lane, std::uint32_t slot)
+    makeId(std::uint32_t gen, std::uint32_t slot)
     {
-        return (static_cast<EventId>(gen) << 32) |
-               (static_cast<EventId>(lane) << kSlotBits) | slot;
+        return (static_cast<EventId>(gen) << 32) | slot;
     }
 
-    void pushTop(Tick when, std::uint64_t seq, std::uint32_t lane);
-    void popTop();
-    void releaseSlot(Lane &lane, std::uint32_t slot);
-    /** Drop tombstoned entries sitting at @p lane's head. */
-    void purgeLaneHead(Lane &lane);
+    void releaseSlot(std::uint32_t slot);
     /**
-     * Make _top.front() reference the true global-minimum runnable
-     * event, purging tombstones and stale head references on the way.
-     * @return false if no runnable event remains.
+     * Drop tombstoned entries sitting at the heap head.
+     * @return true if a runnable event is at the head.
      */
-    bool settleTop();
+    bool purgeHead();
 
-    std::vector<Lane> _lanes{1}; ///< lane 0 always exists
-    std::vector<TopEntry> _top;  ///< binary heap (TopLater)
+    std::vector<HeapEntry> _heap; ///< binary heap (EntryLater)
+    std::vector<Slot> _slots;     ///< callback slab
+    std::vector<std::uint32_t> _freeSlots;
+    std::size_t _cancelled = 0; ///< tombstones still in `_heap`
+    std::size_t _laneCount = 1; ///< lane 0 always exists
     Tick _now = 0;
     std::uint64_t _nextSeq = 1; ///< queue-wide schedule order
     std::size_t _live = 0;

@@ -3,12 +3,12 @@
  * Same-tick lane-conflict sanitizer (the dynamic half of the
  * determinism auditor, DESIGN.md §13).
  *
- * The lane-sharded EventQueue executes events in exact global
- * (when, seq) order, so sharding cannot change behaviour *today* —
- * but the obvious next step, executing same-tick events of different
- * lanes concurrently, is only sound for state that is never shared
- * across lanes within one tick (or shared read-only). Nothing in the
- * tree records which state that is.
+ * The EventQueue executes events in exact global (when, seq) order
+ * and tags each with the lane of the component that scheduled it, so
+ * lanes cannot change behaviour *today* — but executing same-tick
+ * events of different lanes concurrently would only be sound for
+ * state that is never shared across lanes within one tick (or shared
+ * read-only). Nothing else in the tree records which state that is.
  *
  * This sanitizer produces that evidence. Instrumented structures
  * (LBA map tables, chip memory / global-PRP storage, QoS buckets,

@@ -72,7 +72,7 @@ class Simulator
     /**
      * Create a new event lane (see EventQueue::createLane). Hot
      * components call setEventLane() with the result so their events
-     * stay in a small private heap.
+     * carry their own lane tag for the lane-conflict audit.
      */
     LaneId createLane() { return _queue.createLane(); }
 
@@ -130,8 +130,8 @@ class SimObject
     Tick now() const { return _sim.now(); }
 
     /**
-     * Route this component's self-scheduled events through @p lane.
-     * Purely a data-structure placement hint: execution order is
+     * Tag this component's self-scheduled events with @p lane.
+     * Purely a tag for the lane-conflict audit: execution order is
      * independent of lane assignment (see EventQueue).
      */
     void setEventLane(LaneId lane) { _lane = lane; }

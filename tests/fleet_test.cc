@@ -181,7 +181,6 @@ TEST(FleetWave, BudgetExhaustionPausesThenResumesCleanly)
     fc.cards = 2;
     fc.seed = 31;
     fleet::FleetManager fm(fc);
-    sim::Simulator &sim = fm.sim();
 
     // Occupy card 0 slot 0 with an out-of-band upgrade so the wave's
     // first op bounces off the controller's re-entrancy guard — a

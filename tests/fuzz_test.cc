@@ -47,8 +47,9 @@ TEST(Fuzz, FixedSeedsPassTheOracle)
         EXPECT_GT(r.totalOps, 100u);
         EXPECT_GT(r.verifiedBlocks, 0u);
         // Failed tenant I/Os are only ever excused fault injections.
-        if (r.totalErrors != 0)
+        if (r.totalErrors != 0) {
             EXPECT_GT(r.faultWindows, 0);
+        }
         // Transparency: nothing may stall past the host timeout.
         EXPECT_LE(r.maxCompletionGap, sim::seconds(10));
     }
@@ -80,8 +81,8 @@ TEST(Fuzz, MigrationSeedsPassTheOracle)
 }
 
 // Pinned multi-VF seeds: up to 16 tenant functions (PFs + VFs), so
-// the sharded event lanes, per-function multi-SQ arbitration, and
-// fetch coalescing all see real fan-out under the oracle.
+// the per-function event lanes, multi-SQ arbitration, and fetch
+// coalescing all see real fan-out under the oracle.
 TEST(Fuzz, MultiVfSeedsPassTheOracle)
 {
     for (std::uint64_t seed = 301; seed <= 304; ++seed) {
@@ -94,8 +95,9 @@ TEST(Fuzz, MultiVfSeedsPassTheOracle)
         fuzz::FuzzReport r = fuzzer.run();
         EXPECT_GT(r.totalOps, 100u);
         EXPECT_GT(r.verifiedBlocks, 0u);
-        if (r.totalErrors != 0)
+        if (r.totalErrors != 0) {
             EXPECT_GT(r.faultWindows, 0);
+        }
         EXPECT_LE(r.maxCompletionGap, sim::seconds(10));
     }
 }
@@ -168,7 +170,8 @@ TEST(Fuzz, TieringSeedsAreDeterministic)
 }
 
 // Multi-VF runs must replay byte-identically too — this is the
-// regression gate for the sharded event queue's deterministic merge.
+// regression gate for the event queue's deterministic (when, seq)
+// order across many lanes.
 TEST(Fuzz, MultiVfSeedsAreDeterministic)
 {
     auto run = [] {
@@ -475,8 +478,9 @@ TEST(Fuzz, ThinSeedsPassTheOracle)
         EXPECT_GT(r.trims, 0u);
         EXPECT_GT(r.dsmCommands, 0u);
         total_cow += r.cowCopies;
-        if (r.totalErrors != 0)
+        if (r.totalErrors != 0) {
             EXPECT_GT(r.faultWindows, 0);
+        }
         EXPECT_LE(r.maxCompletionGap, sim::seconds(10));
     }
     // A seed whose snapshot lands in the window's last breath may see
@@ -716,8 +720,9 @@ TEST(Fuzz, FleetSeedsPassTheOracle)
         // The drill opened its window and every node loss recovered.
         EXPECT_EQ(r.faultWindows, 1u);
         EXPECT_GT(r.nodeLosses, 0u);
-        if (r.totalErrors != 0)
+        if (r.totalErrors != 0) {
             EXPECT_GT(r.faultWindows, 0u);
+        }
         EXPECT_LE(r.maxCompletionGap, sim::seconds(10));
     }
 }

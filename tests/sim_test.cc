@@ -10,8 +10,6 @@
 #include <cstring>
 #include <vector>
 
-#include "harness/runner.hh"
-#include "harness/testbeds.hh"
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
@@ -20,7 +18,6 @@
 #include "sim/stats.hh"
 #include "sim/stats_registry.hh"
 #include "tests/test_util.hh"
-#include "workload/fio.hh"
 
 using namespace bms::sim;
 
@@ -80,6 +77,28 @@ TEST(EventQueue, CancelOfExecutedIdDoesNotCorruptBookkeeping)
     q.checkInvariants();
     q.runAll();
     EXPECT_TRUE(q.empty());
+    q.checkInvariants();
+}
+
+// A stale id whose slot has been handed to a newer event must fail
+// the generation check: cancelling it leaves the newer event alone.
+TEST(EventQueue, StaleIdDoesNotCancelEventReusingItsSlot)
+{
+    EventQueue q;
+    EventId a = q.schedule(10, [] {});
+    ASSERT_TRUE(q.runOne());
+    bool b_ran = false;
+    EventId b = q.schedule(20, [&] { b_ran = true; });
+    // Same slot (low 32 bits), newer generation (high 32 bits).
+    ASSERT_EQ(a & 0xffffffffu, b & 0xffffffffu);
+    ASSERT_NE(a, b);
+    q.cancel(a);
+    EXPECT_EQ(q.size(), 1u);
+    q.checkInvariants();
+    q.runAll();
+    EXPECT_TRUE(b_ran);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.executedCount(), 2u);
     q.checkInvariants();
 }
 
@@ -276,77 +295,6 @@ TEST(EventQueue, SchedulingOnUnknownLanePanics)
 {
     EventQueue q;
     EXPECT_PANIC(q.scheduleOn(42, 10, [] {}));
-}
-
-namespace {
-
-/**
- * Fingerprint of a full remote-tier run: a BM-Store card with local
- * SSDs plus a storage node behind a network link, one chunk spilled
- * remote, tenant I/O over both paths.
- */
-struct RemoteRunPrint
-{
-    std::uint64_t completed;
-    std::uint64_t p999;
-    std::uint64_t events;
-    Tick endedAt;
-
-    bool
-    operator==(const RemoteRunPrint &o) const
-    {
-        return completed == o.completed && p999 == o.p999 &&
-               events == o.events && endedAt == o.endedAt;
-    }
-};
-
-RemoteRunPrint
-runRemoteTopology(bool per_lane_events)
-{
-    bms::harness::TestbedConfig cfg;
-    cfg.ssdCount = 2;
-    cfg.seed = 99;
-    cfg.chunkBytes = mib(1);
-    cfg.ssd.functionalData = true;
-    cfg.remoteNodes = 1;
-    cfg.remoteServer.ssd.functionalData = true;
-    cfg.perLaneEvents = per_lane_events;
-    bms::harness::BmStoreTestbed bed(cfg);
-    auto &disk = bed.attachTenant(0, mib(2));
-
-    bool done = false;
-    bed.controller().tiering().spill(0, 1, 0, -1, [&](bool ok) {
-        EXPECT_TRUE(ok);
-        done = true;
-    });
-    EXPECT_TRUE(bms::test::runUntil(bed.sim(), [&] { return done; },
-                                    seconds(10)));
-
-    bms::workload::FioJobSpec spec = bms::workload::fioRandR1();
-    spec.runTime = milliseconds(50);
-    bms::workload::FioResult res =
-        bms::harness::runFio(bed.sim(), disk, spec);
-    EXPECT_EQ(res.errors, 0u);
-    return {res.completed, res.latency.p999(),
-            bed.sim().queue().executedCount(), bed.sim().now()};
-}
-
-} // namespace
-
-// Lane sharding must stay invisible at whole-system scale even with
-// the remote tier in play: storage-node machines, network callbacks
-// and the tiering cutover all run on their own lanes, yet the flat
-// queue executes the exact same history.
-TEST(EventQueue, RemoteTopologyIdenticalOnFlatAndLanedQueues)
-{
-    RemoteRunPrint laned = runRemoteTopology(true);
-    RemoteRunPrint flat = runRemoteTopology(false);
-    EXPECT_TRUE(laned == flat)
-        << "laned: completed=" << laned.completed << " p999="
-        << laned.p999 << " events=" << laned.events << " end="
-        << laned.endedAt << " | flat: completed=" << flat.completed
-        << " p999=" << flat.p999 << " events=" << flat.events
-        << " end=" << flat.endedAt;
 }
 
 TEST(Simulator, OwnsObjectsAndTime)

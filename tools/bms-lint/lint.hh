@@ -4,7 +4,7 @@
  * the determinism auditor, DESIGN.md §13).
  *
  * Everything the repro guarantees — byte-identical seed replays, the
- * write-stamp oracle, the flat-vs-laned equivalence proof — rests on
+ * write-stamp oracle, the lane-layout invariance of event order — rests on
  * the simulator being perfectly deterministic. clang-tidy cannot
  * express the project rules that protect that property, so this
  * checker enforces them lexically, file by file:
