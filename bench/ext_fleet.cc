@@ -25,21 +25,21 @@
  * pre-PR smoke gate; `--json=PATH` overrides where the
  * machine-readable file lands (default BENCH_fleet.json). The JSON
  * carries the raw fleet measurements `tco_analysis --fleet-json=PATH`
- * feeds into the paper's §VI-C model at fleet scale.
+ * feeds into the paper's §VI-C model at fleet scale. Unknown flags and
+ * unparsable numbers exit 2. Drains are bounded (a lost completion
+ * panics with the op log), and a failed tenant I/O needs the drill's
+ * window to excuse it and the worst completion gap must stay ≤ 10 s.
  */
 
-#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "fleet/fleet_manager.hh"
-#include "fuzz/op_log.hh"
-#include "fuzz/oracle.hh"
-#include "fuzz/schedule.hh"
+#include "fuzz/verified_tenants.hh"
 #include "harness/runner.hh"
 #include "sim/lane_audit.hh"
 #include "sim/random.hh"
@@ -48,13 +48,31 @@ using namespace bms;
 
 namespace {
 
-struct ActiveTenant
+[[noreturn]] void
+usage(const char *bad)
 {
-    int card = -1;
-    std::uint8_t fn = 0;
-    fuzz::OracleDevice *oracle = nullptr;
-    fuzz::TenantWorkload *workload = nullptr;
-};
+    std::fprintf(stderr, "ext_fleet: bad flag '%s'\nusage: ext_fleet "
+                 "[--quick] [--placement-floor=F] [--makespan-limit-s=S] "
+                 "[--events-floor=N] [--wall-limit-s=S] [--json=PATH] "
+                 "[--paranoid] [--log=LEVEL] [--lane-audit-out=PATH]\n",
+                 bad);
+    std::exit(2);
+}
+
+/** True when @p arg is `<flag><number>`, parsed into @p out; exits 2
+ *  when the number does not parse. */
+bool
+numberFlag(const char *arg, const char *flag, double &out)
+{
+    std::size_t n = std::strlen(flag);
+    if (std::strncmp(arg, flag, n) != 0)
+        return false;
+    char *end = nullptr;
+    out = std::strtod(arg + n, &end);
+    if (end == arg + n || *end != '\0' || !std::isfinite(out))
+        usage(arg);
+    return true;
+}
 
 double
 wallSecondsSince(std::chrono::steady_clock::time_point t0)
@@ -158,18 +176,22 @@ main(int argc, char **argv)
     double wallLimit = 600.0;
     std::string jsonPath = "BENCH_fleet.json";
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
+        const char *a = argv[i];
+        // --paranoid, --log= and --lane-audit-out= were taken by
+        // applyCommonFlags above.
+        bool common = std::strcmp(a, "--paranoid") == 0 ||
+                      std::strncmp(a, "--log=", 6) == 0 ||
+                      std::strncmp(a, "--lane-audit-out=", 17) == 0;
+        if (std::strcmp(a, "--quick") == 0)
             quick = true;
-        else if (std::strncmp(argv[i], "--placement-floor=", 18) == 0)
-            placementFloor = std::atof(argv[i] + 18);
-        else if (std::strncmp(argv[i], "--makespan-limit-s=", 19) == 0)
-            makespanLimitS = std::atof(argv[i] + 19);
-        else if (std::strncmp(argv[i], "--events-floor=", 15) == 0)
-            eventsFloor = std::atof(argv[i] + 15);
-        else if (std::strncmp(argv[i], "--wall-limit-s=", 15) == 0)
-            wallLimit = std::atof(argv[i] + 15);
-        else if (std::strncmp(argv[i], "--json=", 7) == 0)
-            jsonPath = argv[i] + 7;
+        else if (std::strncmp(a, "--json=", 7) == 0)
+            jsonPath = a + 7;
+        else if (!common &&
+                 !numberFlag(a, "--placement-floor=", placementFloor) &&
+                 !numberFlag(a, "--makespan-limit-s=", makespanLimitS) &&
+                 !numberFlag(a, "--events-floor=", eventsFloor) &&
+                 !numberFlag(a, "--wall-limit-s=", wallLimit))
+            usage(a);
     }
 
     auto wall0 = std::chrono::steady_clock::now();
@@ -213,10 +235,9 @@ main(int argc, char **argv)
     // Phase 2 — verified workloads on a subset of placements, spread
     // across the fleet (one per card round-robin over the placed set).
     fuzz::OpLog log(256);
-    std::vector<ActiveTenant> active;
+    fuzz::VerifiedTenantSet active(sim, log, fc.seed);
     {
         int per_card = (activeTarget + fm.cards() - 1) / fm.cards();
-        std::vector<int> taken(static_cast<std::size_t>(fm.cards()), 0);
         for (int c = 0; c < fm.cards() &&
                         static_cast<int>(active.size()) < activeTarget;
              ++c) {
@@ -226,44 +247,26 @@ main(int argc, char **argv)
                 if (fm.tenantsOn(c) <= k)
                     break;
                 // Functions are assigned 0..n-1 in admission order.
-                auto fn = static_cast<std::uint8_t>(k);
-                host::NvmeDriver &drv = fm.tenantDriver(c, fn);
+                host::NvmeDriver &drv =
+                    fm.tenantDriver(c, static_cast<std::uint8_t>(k));
                 fuzz::OracleDevice::Config ocfg;
                 ocfg.uid =
                     static_cast<std::uint32_t>(active.size() + 1);
                 ocfg.seed = fc.seed;
                 ocfg.regionBytes = sim::mib(1);
-                auto *oracle = sim.make<fuzz::OracleDevice>(
-                    sim, "bench.oracle" + std::to_string(active.size()),
-                    drv, fm.card(c).host().memory(), log, ocfg);
                 fuzz::TenantSpec spec;
                 spec.iodepth = 4;
                 spec.readRatio = 0.5;
                 spec.flushProb = 0.005;
                 spec.maxIoBlocks = 8;
-                auto *wl = sim.make<fuzz::TenantWorkload>(
-                    sim, "bench.tenant" + std::to_string(active.size()),
-                    *oracle, rng.fork(), spec);
-                active.push_back(ActiveTenant{c, fn, oracle, wl});
-                wl->start();
+                active
+                    .add(drv, fm.card(c).host().memory(), ocfg, spec,
+                         rng.fork(), c, "bench.")
+                    .workload->start();
             }
         }
     }
-
-    fm.setFaultWindowHook([&active](int card, bool open) {
-        if (!open)
-            return;
-        for (ActiveTenant &a : active) {
-            if (a.card == card)
-                a.oracle->setFaultsActive(true);
-        }
-    });
-    fm.setAvailabilityProbe([&active] {
-        sim::Tick worst = 0;
-        for (ActiveTenant &a : active)
-            worst = std::max(worst, a.workload->maxCompletionGap());
-        return worst;
-    });
+    active.attach(fm);
 
     // Phase 3 — the rolling wave, with the correlated drill landing
     // one simulated second into it.
@@ -286,62 +289,22 @@ main(int argc, char **argv)
     drill.upgradeStorm = true;
     fm.scheduleDrill(drill);
 
-    int resumes = 0;
-    while (true) {
-        while (fm.waveState() == fleet::WaveState::Running)
-            sim.runUntil(sim.now() + sim::milliseconds(5));
-        if (fm.waveState() == fleet::WaveState::Paused &&
-            resumes < 4 * fm.cards()) {
-            ++resumes;
-            fm.resumeWave(2);
-            continue;
-        }
-        break;
-    }
-    if (fm.waveState() != fleet::WaveState::Done) {
-        std::fprintf(stderr, "ext_fleet: wave did not complete\n");
-        return 1;
-    }
+    // Ten times the default makespan limit: a wave still running by
+    // then has lost a completion, not merely run slow.
+    active.finishWave(fm, sim::seconds(600), sim::milliseconds(5));
 
     // Phase 4 — drain and verify everything.
-    int stopping = static_cast<int>(active.size());
-    for (ActiveTenant &a : active)
-        a.workload->stop([&stopping] { --stopping; });
-    while (stopping > 0 || !fm.drillIdle())
-        sim.runUntil(sim.now() + sim::milliseconds(1));
-    int sweepPending = 0;
-    std::uint64_t sweepErrors = 0;
-    for (ActiveTenant &a : active) {
-        std::uint32_t step = a.oracle->maxIoBlocks();
-        for (std::uint64_t b = 0; b < a.oracle->blocks(); b += step) {
-            auto n = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                step, a.oracle->blocks() - b));
-            ++sweepPending;
-            a.oracle->read(b, n, [&sweepPending, &sweepErrors](bool ok) {
-                --sweepPending;
-                if (!ok)
-                    ++sweepErrors;
-            });
-        }
-    }
-    while (sweepPending > 0)
-        sim.runUntil(sim.now() + sim::milliseconds(1));
-    if (sweepErrors != 0) {
-        std::fprintf(stderr, "ext_fleet: %llu final-sweep reads failed\n",
-                     static_cast<unsigned long long>(sweepErrors));
-        return 1;
-    }
+    active.drain("tenant+drill drain",
+                 [&] { return active.stopped() && fm.drillIdle(); },
+                 sim::seconds(30));
+    active.finalSweep(sim::seconds(30));
 
     double wallSec = wallSecondsSince(wall0);
     std::uint64_t events = sim.queue().executedCount() - events0;
     double eventsPerSec =
         wallSec > 0 ? static_cast<double>(events) / wallSec : 0.0;
 
-    std::uint64_t totalOps = 0, verifiedBlocks = 0;
-    for (ActiveTenant &a : active) {
-        totalOps += a.workload->ops();
-        verifiedBlocks += a.oracle->verifiedBlocks();
-    }
+    fuzz::VerifiedTenantSet::Totals tot = active.checkedTotals();
 
     const fleet::WaveReport &w = fm.waveReport();
     Gate placementGate{placementQuality, placementFloor, true};
@@ -376,7 +339,7 @@ main(int argc, char **argv)
                 fm.stormRejections());
 
     writeJson(jsonPath, quick ? "quick" : "full", fm, requested, placed,
-              static_cast<int>(active.size()), totalOps, verifiedBlocks,
+              static_cast<int>(active.size()), tot.ops, tot.verifiedBlocks,
               events, eventsPerSec, wallSec, placementGate, makespanGate,
               epsGate, wallGate, pass);
     std::printf("fleet measurements written to %s\n", jsonPath.c_str());

@@ -1,7 +1,6 @@
 #include "fuzz/fleet_fuzzer.hh"
 
 #include <algorithm>
-#include <iostream>
 #include <string>
 
 #include "sim/check.hh"
@@ -22,13 +21,6 @@ FleetFuzzer::FleetFuzzer(FleetFuzzConfig cfg)
 }
 
 FleetFuzzer::~FleetFuzzer() = default;
-
-void
-FleetFuzzer::fail(const std::string &what)
-{
-    _log.dump(std::cerr);
-    BMS_PANIC("fleet-fuzzer: ", what, " [seed=", _cfg.seed, "]");
-}
 
 void
 FleetFuzzer::admitTenants(sim::Rng &rng, FleetFuzzReport &report)
@@ -56,16 +48,15 @@ FleetFuzzer::admitTenants(sim::Rng &rng, FleetFuzzReport &report)
             continue;
         }
         ++report.placed;
-        _placed.push_back(Placed{p.card, p.fn, req.thin, req.bytes});
+        _placed.push_back(Placed{p.card, p.fn, req.thin});
     }
     if (_placed.empty())
-        fail("no admission succeeded on an empty fleet");
+        _tenants->fail("no admission succeeded on an empty fleet");
 }
 
 void
 FleetFuzzer::activateTenants(sim::Rng &rng)
 {
-    sim::Simulator &sim = _fleet->sim();
     int n = std::min(static_cast<int>(_placed.size()),
                      _cfg.maxActiveTenants);
     for (int i = 0; i < n; ++i) {
@@ -77,9 +68,6 @@ FleetFuzzer::activateTenants(sim::Rng &rng)
         ocfg.seed = _cfg.seed;
         ocfg.regionBytes = sim::mib(1 + rng.uniformInt(0, 1));
         ocfg.baseOffset = 0;
-        auto *oracle = sim.make<OracleDevice>(
-            sim, "fleet.oracle" + std::to_string(i), drv,
-            _fleet->card(p.card).host().memory(), _log, ocfg);
 
         TenantSpec spec;
         spec.iodepth = 1 + static_cast<int>(rng.uniformInt(0, 7));
@@ -90,54 +78,11 @@ FleetFuzzer::activateTenants(sim::Rng &rng)
         spec.sequential = rng.chance(0.3);
         if (p.thin)
             spec.trimProb = rng.uniformDouble(0.02, 0.08);
-        auto *wl = sim.make<TenantWorkload>(
-            sim, "fleet.tenant" + std::to_string(i), *oracle, rng.fork(),
-            spec);
-        _active.push_back(Active{p.card, p.fn, oracle, wl});
-        wl->start();
+        _tenants
+            ->add(drv, _fleet->card(p.card).host().memory(), ocfg, spec,
+                  rng.fork(), p.card, "fleet.")
+            .workload->start();
     }
-}
-
-void
-FleetFuzzer::drain(const char *stage, const std::function<bool()> &done,
-                   sim::Tick timeout)
-{
-    sim::Simulator &sim = _fleet->sim();
-    sim::Tick deadline = sim.now() + timeout;
-    while (!done()) {
-        if (sim.now() >= deadline)
-            fail(std::string("drain timed out at stage '") + stage +
-                 "'");
-        sim.runUntil(sim.now() + sim::milliseconds(1));
-    }
-}
-
-void
-FleetFuzzer::finalSweep()
-{
-    // Read back every verified block of every active tenant once —
-    // after a wave plus a drill, whatever is on media fleet-wide must
-    // still decode to an acceptable stamp.
-    int pending = 0;
-    std::uint64_t sweep_errors = 0;
-    for (Active &a : _active) {
-        std::uint32_t step = a.oracle->maxIoBlocks();
-        for (std::uint64_t b = 0; b < a.oracle->blocks(); b += step) {
-            auto n = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(step, a.oracle->blocks() - b));
-            ++pending;
-            a.oracle->read(b, n, [&pending, &sweep_errors](bool ok) {
-                --pending;
-                if (!ok)
-                    ++sweep_errors;
-            });
-        }
-    }
-    drain("final sweep", [&pending] { return pending == 0; },
-          sim::seconds(30));
-    BMS_ASSERT_EQ(sweep_errors, 0u,
-                  "fleet final sweep reads failed with fault rates at "
-                  "zero");
 }
 
 FleetFuzzReport
@@ -162,32 +107,17 @@ FleetFuzzer::run()
     _fleet = std::make_unique<fleet::FleetManager>(fc);
     report.cards = _fleet->cards();
     sim::Simulator &sim = _fleet->sim();
+    _tenants = std::make_unique<VerifiedTenantSet>(sim, _log, _cfg.seed);
+    VerifiedTenantSet &vt = *_tenants;
 
     admitTenants(rng, report);
     activateTenants(rng);
-    report.active = static_cast<int>(_active.size());
+    report.active = static_cast<int>(vt.size());
     _start = sim.now();
 
-    // Fault windows excuse tenant errors on the hit cards; once a
-    // window opened the oracle stays lenient (commands submitted near
-    // the closing edge may fail late), exactly like the single-card
-    // fuzzer.
-    _fleet->setFaultWindowHook([this](int card, bool open) {
-        if (!open)
-            return;
-        for (Active &a : _active) {
-            if (a.card == card)
-                a.oracle->setFaultsActive(true);
-        }
-    });
-    // The wave's availability gate reads the worst tenant
-    // submit→complete gap fleet-wide.
-    _fleet->setAvailabilityProbe([this] {
-        sim::Tick worst = 0;
-        for (Active &a : _active)
-            worst = std::max(worst, a.workload->maxCompletionGap());
-        return worst;
-    });
+    // Fault windows excuse tenant errors on the hit cards; the wave's
+    // availability gate reads the worst tenant gap fleet-wide.
+    vt.attach(*_fleet);
 
     if (_cfg.enableWave) {
         fleet::WaveConfig wc;
@@ -220,59 +150,25 @@ FleetFuzzer::run()
     sim.runUntil(_start + _cfg.horizon);
 
     // Drain: tenants first (their I/O no longer moves the gates),
-    // then the drill's outstanding verbs, then the wave — resuming a
-    // budget-paused wave with fresh budget until it completes, as the
-    // operator runbook prescribes.
-    int stopping = static_cast<int>(_active.size());
-    for (Active &a : _active)
-        a.workload->stop([&stopping] { --stopping; });
-    drain("tenant drain", [&stopping] { return stopping == 0; },
-          sim::seconds(30));
-    drain("drill drain", [this] { return _fleet->drillIdle(); },
-          sim::seconds(30));
-    if (_cfg.enableWave) {
-        int resumes = 0;
-        while (true) {
-            drain("wave",
-                  [this] {
-                      return _fleet->waveState() !=
-                             fleet::WaveState::Running;
-                  },
-                  sim::seconds(120));
-            if (_fleet->waveState() == fleet::WaveState::Paused) {
-                // Every resume consumes at least one more op, so this
-                // terminates; the bound is just a tripwire.
-                if (++resumes > 4 * _fleet->cards())
-                    fail("wave paused more often than it has ops");
-                _fleet->resumeWave(2);
-                continue;
-            }
-            break;
-        }
-        if (_fleet->waveState() != fleet::WaveState::Done)
-            fail("wave did not complete");
-        const fleet::WaveReport &w = _fleet->waveReport();
-        std::uint32_t slots = static_cast<std::uint32_t>(
-            _fleet->cards() * _fleet->config().ssdsPerCard);
-        if (w.opsOk + w.opsFailed != slots)
-            fail("wave op count does not cover the fleet");
-    }
+    // then the drill's outstanding verbs, then the wave.
+    vt.drain("tenant drain", [&vt] { return vt.stopped(); },
+             sim::seconds(30));
+    vt.drain("drill drain", [this] { return _fleet->drillIdle(); },
+             sim::seconds(30));
+    if (_cfg.enableWave)
+        vt.finishWave(*_fleet, sim::seconds(120));
 
-    finalSweep();
+    // After a wave plus a drill, whatever is on media fleet-wide must
+    // still decode to an acceptable stamp.
+    vt.finalSweep(sim::seconds(30));
 
-    for (Active &a : _active) {
-        report.totalOps += a.workload->ops();
-        report.totalErrors += a.workload->errors();
-        report.verifiedBlocks += a.oracle->verifiedBlocks();
-        report.maxCompletionGap = std::max(
-            report.maxCompletionGap, a.workload->maxCompletionGap());
-    }
-    if (report.totalErrors > 0 && _fleet->faultWindowsOpened() == 0)
-        fail("tenant I/O failed without a fault window to excuse it");
-    if (report.maxCompletionGap > sim::seconds(10))
-        fail("a tenant I/O stalled past the 10 s availability bound");
+    VerifiedTenantSet::Totals tot = vt.checkedTotals();
+    report.totalOps = tot.ops;
+    report.totalErrors = tot.errors;
+    report.verifiedBlocks = tot.verifiedBlocks;
+    report.maxCompletionGap = tot.maxGap;
     if (report.verifiedBlocks == 0)
-        fail("nothing was verified");
+        vt.fail("nothing was verified");
 
     const fleet::WaveReport &w = _fleet->waveReport();
     report.waveOpsOk = w.opsOk;

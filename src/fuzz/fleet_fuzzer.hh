@@ -23,9 +23,7 @@
 #include <vector>
 
 #include "fleet/fleet_manager.hh"
-#include "fuzz/op_log.hh"
-#include "fuzz/oracle.hh"
-#include "fuzz/schedule.hh"
+#include "fuzz/verified_tenants.hh"
 
 namespace bms::fuzz {
 
@@ -97,29 +95,16 @@ class FleetFuzzer
         int card = -1;
         std::uint8_t fn = 0;
         bool thin = false;
-        std::uint64_t bytes = 0;
-    };
-
-    struct Active
-    {
-        int card = -1;
-        std::uint8_t fn = 0;
-        OracleDevice *oracle = nullptr;
-        TenantWorkload *workload = nullptr;
     };
 
     void admitTenants(sim::Rng &rng, FleetFuzzReport &report);
     void activateTenants(sim::Rng &rng);
-    void drain(const char *stage, const std::function<bool()> &done,
-               sim::Tick timeout);
-    void finalSweep();
-    [[noreturn]] void fail(const std::string &what);
 
     FleetFuzzConfig _cfg;
     OpLog _log;
     std::unique_ptr<fleet::FleetManager> _fleet;
     std::vector<Placed> _placed;
-    std::vector<Active> _active;
+    std::unique_ptr<VerifiedTenantSet> _tenants;
     sim::Tick _start = 0;
 };
 

@@ -31,9 +31,7 @@
 #include <memory>
 #include <vector>
 
-#include "fuzz/op_log.hh"
-#include "fuzz/oracle.hh"
-#include "fuzz/schedule.hh"
+#include "fuzz/verified_tenants.hh"
 #include "harness/testbeds.hh"
 
 namespace bms::fuzz {
@@ -149,13 +147,6 @@ class Fuzzer
     FuzzReport run();
 
   private:
-    struct Tenant
-    {
-        pcie::FunctionId fn = 0;
-        OracleDevice *oracle = nullptr;
-        TenantWorkload *workload = nullptr;
-    };
-
     void buildTenants(sim::Rng &rng, sim::Rng &thin_rng);
     void scheduleControlOps(sim::Rng &rng);
     void scheduleUpgrades(sim::Rng &rng);
@@ -169,21 +160,18 @@ class Fuzzer
                            TenantSpec cspec, sim::Rng crng);
     void destroyScratch(core::Eid eid, std::uint8_t vf,
                         std::uint32_t nsid, int attempt);
-    void drain(const char *stage, const std::function<bool()> &done,
-               sim::Tick timeout);
-    void finalSweep();
-    [[noreturn]] void fail(const std::string &what);
 
     FuzzConfig _cfg;
     OpLog _log;
     std::unique_ptr<harness::BmStoreTestbed> _bed;
-    std::vector<Tenant> _tenants;
+    std::unique_ptr<VerifiedTenantSet> _tenants;
+    /** Front-end function of each tenant, in set order. */
+    std::vector<pcie::FunctionId> _fns;
     sim::Tick _start = 0; ///< tick when the torture window opened
     int _pendingControl = 0;
     std::uint64_t _controlOps = 0;
     std::uint32_t _upgrades = 0;
     int _faultWindows = 0;
-    bool _faultsEverActive = false;
     std::uint32_t _snapshots = 0;
     std::uint32_t _clones = 0;
     std::uint32_t _snapshotDeletes = 0;

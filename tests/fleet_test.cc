@@ -8,14 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "fleet/fleet_manager.hh"
-#include "fuzz/op_log.hh"
-#include "fuzz/oracle.hh"
-#include "fuzz/schedule.hh"
+#include "fuzz/verified_tenants.hh"
 #include "sim/random.hh"
 
 using namespace bms;
@@ -268,13 +265,7 @@ TEST(FleetFaults, NodeLossDuringWaveRecoversWithZeroDataLoss)
     sim::Rng rng(fc.seed ^ 0x0f1ee7ULL);
 
     // One verified tenant per card.
-    struct Active
-    {
-        int card;
-        fuzz::OracleDevice *oracle;
-        fuzz::TenantWorkload *workload;
-    };
-    std::vector<Active> active;
+    fuzz::VerifiedTenantSet tenants(sim, log, fc.seed);
     for (int c = 0; c < fm.cards(); ++c) {
         fleet::TenantRequest req;
         req.bytes = sim::mib(16);
@@ -286,34 +277,17 @@ TEST(FleetFaults, NodeLossDuringWaveRecoversWithZeroDataLoss)
         ocfg.uid = static_cast<std::uint32_t>(c + 1);
         ocfg.seed = fc.seed;
         ocfg.regionBytes = sim::mib(1);
-        auto *oracle = sim.make<fuzz::OracleDevice>(
-            sim, "fleettest.oracle" + std::to_string(c),
-            fm.tenantDriver(p.card, p.fn), fm.card(p.card).host().memory(),
-            log, ocfg);
         fuzz::TenantSpec spec;
         spec.iodepth = 4;
         spec.readRatio = 0.5;
         spec.maxIoBlocks = 8;
-        auto *wl = sim.make<fuzz::TenantWorkload>(
-            sim, "fleettest.tenant" + std::to_string(c), *oracle,
-            rng.fork(), spec);
-        active.push_back(Active{p.card, oracle, wl});
-        wl->start();
+        tenants
+            .add(fm.tenantDriver(p.card, p.fn),
+                 fm.card(p.card).host().memory(), ocfg, spec, rng.fork(),
+                 p.card, "fleettest.")
+            .workload->start();
     }
-
-    fm.setFaultWindowHook([&active](int card, bool open) {
-        if (!open)
-            return;
-        for (Active &a : active)
-            if (a.card == card)
-                a.oracle->setFaultsActive(true);
-    });
-    fm.setAvailabilityProbe([&active] {
-        sim::Tick worst = 0;
-        for (Active &a : active)
-            worst = std::max(worst, a.workload->maxCompletionGap());
-        return worst;
-    });
+    tenants.attach(fm);
 
     // Correlated drill hits card 0 mid-wave: SSD fault window plus a
     // storage-node loss the failNode verb must recover.
@@ -332,45 +306,25 @@ TEST(FleetFaults, NodeLossDuringWaveRecoversWithZeroDataLoss)
     wc.failureBudget = 2;
     wc.availabilityBound = sim::seconds(5);
     fm.startWave(wc);
-    finishWave(fm);
+    tenants.finishWave(fm, sim::seconds(60));
     ASSERT_EQ(fm.waveState(), fleet::WaveState::Done);
 
     // Drain tenants and the drill's outstanding verbs.
-    int stopping = static_cast<int>(active.size());
-    for (Active &a : active)
-        a.workload->stop([&stopping] { --stopping; });
-    pump(fm, [&stopping] { return stopping == 0; });
-    pump(fm, [&fm] { return fm.drillIdle(); });
+    tenants.drain("tenant drain", [&tenants] { return tenants.stopped(); },
+                  sim::seconds(60));
+    tenants.drain("drill drain", [&fm] { return fm.drillIdle(); },
+                  sim::seconds(60));
 
     EXPECT_EQ(fm.faultWindowsOpened(), 1u);
     EXPECT_GE(fm.nodeLossesRecovered(), 1u);
 
     // Zero data loss: with fault rates back at zero, every verified
     // block of every tenant must still read back with a valid stamp.
-    int pending = 0;
-    int sweep_errors = 0;
+    // A failed sweep read panics (the test fails on the throw).
     std::uint64_t swept = 0;
-    for (Active &a : active) {
-        std::uint32_t step = a.oracle->maxIoBlocks();
-        for (std::uint64_t b = 0; b < a.oracle->blocks(); b += step) {
-            auto n = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                step, a.oracle->blocks() - b));
-            ++pending;
-            swept += n;
-            a.oracle->read(b, n, [&pending, &sweep_errors](bool ok) {
-                --pending;
-                if (!ok)
-                    ++sweep_errors;
-            });
-        }
-    }
-    pump(fm, [&pending] { return pending == 0; });
-    EXPECT_EQ(sweep_errors, 0);
+    EXPECT_NO_THROW(swept = tenants.finalSweep(sim::seconds(60)));
     EXPECT_GT(swept, 0u);
-    std::uint64_t verified = 0;
-    for (Active &a : active)
-        verified += a.oracle->verifiedBlocks();
-    EXPECT_GT(verified, 0u);
+    EXPECT_GT(tenants.checkedTotals().verifiedBlocks, 0u);
 }
 
 // ---------------------------------------------------------------- //

@@ -16,6 +16,7 @@
 #include "fuzz/fuzzer.hh"
 #include "fuzz/op_log.hh"
 #include "fuzz/oracle.hh"
+#include "fuzz/verified_tenants.hh"
 #include "harness/testbeds.hh"
 #include "tests/test_util.hh"
 
@@ -754,4 +755,111 @@ TEST(Fuzz, FleetSeedsAreDeterministic)
     // same schedule, byte-identical operator history.
     EXPECT_EQ(a.traceHash, b.traceHash);
     EXPECT_EQ(a.finishedAt, b.finishedAt);
+}
+
+namespace {
+
+/** One verified tenant on an SSD that fails every read and write,
+ *  run for 2 ms and drained; @p mark_first opens a fault window
+ *  before the tenant joins (the clone path). */
+fuzz::VerifiedTenantSet::Totals
+runTenantOnFailingSsd(bool mark_first)
+{
+    harness::TestbedConfig cfg;
+    cfg.ssdCount = 1;
+    cfg.ssd.functionalData = true;
+    harness::BmStoreTestbed bed(cfg);
+    host::NvmeDriver &disk = bed.attachTenant(0, sim::gib(64));
+    bed.ssd(0).faults().readErrorRate = 1.0;
+    bed.ssd(0).faults().writeErrorRate = 1.0;
+
+    fuzz::OpLog log(64);
+    fuzz::VerifiedTenantSet tenants(bed.sim(), log, 9);
+    if (mark_first)
+        tenants.markFaultsActive();
+    fuzz::OracleDevice::Config ocfg;
+    ocfg.uid = 1;
+    ocfg.regionBytes = sim::mib(1);
+    fuzz::TenantSpec spec;
+    spec.flushProb = 0.0;
+    tenants.add(disk, bed.host().memory(), ocfg, spec, sim::Rng(9), 0, "late.")
+        .workload->start();
+    bed.sim().runFor(sim::milliseconds(2));
+    tenants.drain("tenant drain", [&tenants] { return tenants.stopped(); },
+                  sim::seconds(1));
+    return tenants.checkedTotals();
+}
+
+} // namespace
+
+// A tenant that joins after a fault window opened (the fuzzer's
+// snapshot clone) inherits the window's leniency: its failed I/Os are
+// excused errors. Without the window the same failures are integrity
+// violations.
+TEST(VerifiedTenants, TenantAddedAfterFaultWindowToleratesFailedIo)
+{
+    fuzz::VerifiedTenantSet::Totals tot = runTenantOnFailingSsd(true);
+    EXPECT_GT(tot.ops, 0u);
+    EXPECT_GT(tot.errors, 0u);
+    EXPECT_PANIC(runTenantOnFailingSsd(false));
+}
+
+// stopped() is re-entrant: a tenant that joins after the first call
+// (a clone whose bring-up raced the horizon) is stopped by the next.
+TEST(VerifiedTenants, StoppedAlsoStopsTenantsAddedMidDrain)
+{
+    harness::TestbedConfig cfg;
+    cfg.ssdCount = 1;
+    cfg.ssd.functionalData = true;
+    harness::BmStoreTestbed bed(cfg);
+    host::NvmeDriver &disk = bed.attachTenant(0, sim::gib(64));
+
+    fuzz::OpLog log(64);
+    fuzz::VerifiedTenantSet tenants(bed.sim(), log, 5);
+    auto add = [&](std::uint32_t t) {
+        fuzz::OracleDevice::Config ocfg;
+        ocfg.uid = t + 1;
+        ocfg.baseOffset = t * sim::mib(2);
+        ocfg.regionBytes = sim::mib(1);
+        tenants
+            .add(disk, bed.host().memory(), ocfg, fuzz::TenantSpec{},
+                 sim::Rng(5 + t), 0, "t.")
+            .workload->start();
+    };
+    add(0);
+    EXPECT_FALSE(tenants.stopped()); // tenant 0 has I/O in flight
+    add(1);
+    tenants.drain("tenant drain", [&tenants] { return tenants.stopped(); },
+                  sim::seconds(1));
+    fuzz::TenantWorkload &late = *tenants.tenant(1).workload;
+    EXPECT_EQ(late.outstanding(), 0u);
+    std::uint64_t ops = late.ops();
+    EXPECT_GT(ops, 0u);
+    bed.sim().runFor(sim::milliseconds(1));
+    EXPECT_EQ(late.ops(), ops);
+}
+
+// A drain whose predicate never holds panics once its simulated
+// timeout passes, naming the stage and the seed.
+TEST(VerifiedTenants, DrainPastItsTimeoutPanicsNamingTheStage)
+{
+    sim::Simulator simulator;
+    fuzz::OpLog log(8);
+    fuzz::VerifiedTenantSet tenants(simulator, log, 77);
+    EXPECT_PANIC(tenants.drain("stuck stage", [] { return false; },
+                               sim::milliseconds(3)));
+    EXPECT_EQ(simulator.now(), sim::milliseconds(3));
+
+    std::string report;
+    try {
+        sim::ScopedPanicMode guard(sim::PanicMode::Throw);
+        tenants.drain("stuck stage", [] { return false; },
+                      sim::milliseconds(3));
+    } catch (const sim::SimPanic &p) {
+        report = p.what();
+    }
+    EXPECT_NE(report.find("drain timed out at stage 'stuck stage'"),
+              std::string::npos)
+        << report;
+    EXPECT_NE(report.find("seed=77"), std::string::npos) << report;
 }
