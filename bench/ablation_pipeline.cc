@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "workload/fio.hh"
@@ -29,7 +30,7 @@ struct Point
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("ablation_pipeline").parse(argc, argv);
     // Native reference.
     harness::TestbedConfig ncfg;
     ncfg.ssdCount = 1;

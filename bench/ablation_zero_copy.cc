@@ -12,6 +12,7 @@
 
 #include <cstdio>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "workload/fio.hh"
@@ -36,7 +37,7 @@ run(bool zero_copy, const workload::FioJobSpec &spec)
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("ablation_zero_copy").parse(argc, argv);
     harness::Table t({"case", "zero-copy IOPS", "store-fwd IOPS",
                       "zero-copy AL(us)", "store-fwd AL(us)",
                       "latency penalty"});

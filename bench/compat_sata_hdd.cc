@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "ssd/hdd_model.hh"
@@ -34,7 +35,7 @@ run(bool hdd, workload::FioJobSpec spec)
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("compat_sata_hdd").parse(argc, argv);
     harness::Table t({"case", "P4510 SSD IOPS", "SSD MB/s",
                       "SATA HDD IOPS", "HDD MB/s"});
     for (auto spec : workload::fioTableIv()) {

@@ -13,11 +13,12 @@
  * during rebalance must stay above F * baseline for every budget.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <cstdlib>
+#include <limits>
 #include <vector>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "workload/fio.hh"
@@ -115,12 +116,10 @@ runBudget(double budget_mbps)
 int
 main(int argc, char **argv)
 {
-    harness::applyCommonFlags(argc, argv);
     double floor = 0.50;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--floor=", 8) == 0)
-            floor = std::strtod(argv[i] + 8, nullptr);
-    }
+    harness::Flags("ext_chunk_migration")
+        .number("--floor", floor)
+        .parse(argc, argv);
 
     std::vector<BudgetResult> results;
     for (double budget : {50.0, 200.0, 800.0, 0.0})
@@ -130,10 +129,10 @@ main(int argc, char **argv)
                       "tenant IOPS rebal", "retained", "p99 idle (us)",
                       "p99 rebal (us)", "migration MB/s",
                       "chunks moved"});
-    bool ok = true;
+    double worstRetained = std::numeric_limits<double>::infinity();
     for (const auto &r : results) {
         double retained = r.idle.iops > 0 ? r.busy.iops / r.idle.iops : 0;
-        ok = ok && retained >= floor;
+        worstRetained = std::min(worstRetained, retained);
         t.addRow({r.budgetMbps > 0 ? harness::Table::fmt(r.budgetMbps, 0)
                                    : "unpaced",
                   harness::Table::fmt(r.idle.iops, 0),
@@ -149,11 +148,13 @@ main(int argc, char **argv)
     t.print("Ext — tenant throughput/latency during live chunk "
             "rebalancing (4K randread, namespace dedicated to slot 0)");
 
+    harness::Gate gate =
+        harness::Gate::floor("retainedThroughput", worstRetained, floor, 3);
     std::printf("\ntenant throughput floor: %.0f%% of idle baseline — "
                 "%s\n",
-                floor * 100.0, ok ? "PASS" : "FAIL");
+                floor * 100.0, gate.pass() ? "PASS" : "FAIL");
     std::printf("the copy budget caps migration speed (QoS-paced "
                 "through the engine); an unpaced copy moves data "
                 "fastest but costs the most tenant throughput.\n");
-    return ok ? 0 : 1;
+    return harness::gateVerdict("ext_chunk_migration", {gate});
 }

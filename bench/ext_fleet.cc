@@ -32,167 +32,37 @@
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "fleet/fleet_manager.hh"
 #include "fuzz/verified_tenants.hh"
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "sim/lane_audit.hh"
 #include "sim/random.hh"
 
 using namespace bms;
 
-namespace {
-
-[[noreturn]] void
-usage(const char *bad)
-{
-    std::fprintf(stderr, "ext_fleet: bad flag '%s'\nusage: ext_fleet "
-                 "[--quick] [--placement-floor=F] [--makespan-limit-s=S] "
-                 "[--events-floor=N] [--wall-limit-s=S] [--json=PATH] "
-                 "[--paranoid] [--log=LEVEL] [--lane-audit-out=PATH]\n",
-                 bad);
-    std::exit(2);
-}
-
-/** True when @p arg is `<flag><number>`, parsed into @p out; exits 2
- *  when the number does not parse. */
-bool
-numberFlag(const char *arg, const char *flag, double &out)
-{
-    std::size_t n = std::strlen(flag);
-    if (std::strncmp(arg, flag, n) != 0)
-        return false;
-    char *end = nullptr;
-    out = std::strtod(arg + n, &end);
-    if (end == arg + n || *end != '\0' || !std::isfinite(out))
-        usage(arg);
-    return true;
-}
-
-double
-wallSecondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-}
-
-struct Gate
-{
-    double value = 0.0;
-    double bound = 0.0;
-    bool floorGate = true; ///< pass when value >= bound (else <=)
-    bool pass() const
-    {
-        return floorGate ? value >= bound : value <= bound;
-    }
-};
-
-void
-writeJson(const std::string &path, const char *mode,
-          const fleet::FleetManager &fm, int requested, int placed,
-          int active, std::uint64_t total_ops,
-          std::uint64_t verified_blocks, std::uint64_t events,
-          double events_per_sec, double wall_sec, const Gate &placement,
-          const Gate &makespan, const Gate &eps, const Gate &wall,
-          bool pass)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "ext_fleet: cannot write %s\n", path.c_str());
-        return;
-    }
-    const fleet::WaveReport &w = fm.waveReport();
-    const fleet::FleetConfig &cfg = fm.config();
-    std::fprintf(f, "{\n  \"bench\": \"ext_fleet\",\n");
-    std::fprintf(f, "  \"mode\": \"%s\",\n", mode);
-    std::fprintf(f, "  \"cards\": %d,\n", fm.cards());
-    std::fprintf(f, "  \"ssdsPerCard\": %d,\n", cfg.ssdsPerCard);
-    std::fprintf(f, "  \"tenantsRequested\": %d,\n", requested);
-    std::fprintf(f, "  \"tenantsPlaced\": %d,\n", placed);
-    std::fprintf(f, "  \"tenantsActive\": %d,\n", active);
-    std::fprintf(f, "  \"totalOps\": %llu,\n",
-                 static_cast<unsigned long long>(total_ops));
-    std::fprintf(f, "  \"verifiedBlocks\": %llu,\n",
-                 static_cast<unsigned long long>(verified_blocks));
-    std::fprintf(f, "  \"wave\": {\"opsOk\": %u, \"opsFailed\": %u, "
-                    "\"pauses\": %u, \"gateTrips\": %u, "
-                    "\"makespanMs\": %.1f, \"ioPauseMsMax\": %.1f, "
-                    "\"evacuatedChunks\": %llu},\n",
-                 w.opsOk, w.opsFailed, w.pauses, w.gateTrips,
-                 sim::toMs(w.makespan), w.ioPauseMsMax,
-                 static_cast<unsigned long long>(w.evacuatedChunks));
-    std::fprintf(f, "  \"drill\": {\"faultWindows\": %u, "
-                    "\"nodeLosses\": %u, \"stormRejections\": %u},\n",
-                 fm.faultWindowsOpened(), fm.nodeLossesRecovered(),
-                 fm.stormRejections());
-    std::fprintf(f, "  \"events\": %llu,\n",
-                 static_cast<unsigned long long>(events));
-    std::fprintf(f, "  \"eventsPerSec\": %.1f,\n", events_per_sec);
-    std::fprintf(f, "  \"wallSeconds\": %.1f,\n", wall_sec);
-    std::fprintf(f, "  \"traceHash\": \"%016llx\",\n",
-                 static_cast<unsigned long long>(fm.traceHash()));
-    std::fprintf(f, "  \"gates\": {\n");
-    std::fprintf(f,
-                 "    \"placementQuality\": {\"value\": %.3f, "
-                 "\"floor\": %.3f, \"pass\": %s},\n",
-                 placement.value, placement.bound,
-                 placement.pass() ? "true" : "false");
-    std::fprintf(f,
-                 "    \"waveMakespanS\": {\"value\": %.2f, "
-                 "\"limit\": %.2f, \"pass\": %s},\n",
-                 makespan.value, makespan.bound,
-                 makespan.pass() ? "true" : "false");
-    std::fprintf(f,
-                 "    \"eventsPerSec\": {\"value\": %.1f, "
-                 "\"floor\": %.1f, \"pass\": %s},\n",
-                 eps.value, eps.bound, eps.pass() ? "true" : "false");
-    std::fprintf(f,
-                 "    \"wallSeconds\": {\"value\": %.1f, "
-                 "\"limit\": %.1f, \"pass\": %s}\n",
-                 wall.value, wall.bound, wall.pass() ? "true" : "false");
-    std::fprintf(f, "  },\n  \"pass\": %s\n}\n", pass ? "true" : "false");
-    std::fclose(f);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
-    if (sim::LaneAudit::active())
-        sim::LaneAudit::instance().setRun("fleet");
-
     bool quick = false;
     double placementFloor = 0.9;
     double makespanLimitS = 60.0;
     double eventsFloor = 200e3;
     double wallLimit = 600.0;
     std::string jsonPath = "BENCH_fleet.json";
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        // --paranoid, --log= and --lane-audit-out= were taken by
-        // applyCommonFlags above.
-        bool common = std::strcmp(a, "--paranoid") == 0 ||
-                      std::strncmp(a, "--log=", 6) == 0 ||
-                      std::strncmp(a, "--lane-audit-out=", 17) == 0;
-        if (std::strcmp(a, "--quick") == 0)
-            quick = true;
-        else if (std::strncmp(a, "--json=", 7) == 0)
-            jsonPath = a + 7;
-        else if (!common &&
-                 !numberFlag(a, "--placement-floor=", placementFloor) &&
-                 !numberFlag(a, "--makespan-limit-s=", makespanLimitS) &&
-                 !numberFlag(a, "--events-floor=", eventsFloor) &&
-                 !numberFlag(a, "--wall-limit-s=", wallLimit))
-            usage(a);
-    }
+    harness::Flags("ext_fleet")
+        .flag("--quick", quick)
+        .number("--placement-floor", placementFloor)
+        .number("--makespan-limit-s", makespanLimitS)
+        .number("--events-floor", eventsFloor)
+        .number("--wall-limit-s", wallLimit)
+        .text("--json", jsonPath)
+        .parse(argc, argv);
+    if (sim::LaneAudit::active())
+        sim::LaneAudit::instance().setRun("fleet");
 
     auto wall0 = std::chrono::steady_clock::now();
 
@@ -299,7 +169,10 @@ main(int argc, char **argv)
                  sim::seconds(30));
     active.finalSweep(sim::seconds(30));
 
-    double wallSec = wallSecondsSince(wall0);
+    double wallSec =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wall0)
+            .count();
     std::uint64_t events = sim.queue().executedCount() - events0;
     double eventsPerSec =
         wallSec > 0 ? static_cast<double>(events) / wallSec : 0.0;
@@ -307,13 +180,7 @@ main(int argc, char **argv)
     fuzz::VerifiedTenantSet::Totals tot = active.checkedTotals();
 
     const fleet::WaveReport &w = fm.waveReport();
-    Gate placementGate{placementQuality, placementFloor, true};
-    Gate makespanGate{static_cast<double>(w.makespan) / 1e9,
-                      makespanLimitS, false};
-    Gate epsGate{eventsPerSec, eventsFloor, true};
-    Gate wallGate{wallSec, wallLimit, false};
-    bool pass = placementGate.pass() && makespanGate.pass() &&
-                epsGate.pass() && wallGate.pass();
+    double makespanS = static_cast<double>(w.makespan) / 1e9;
 
     harness::Table t({"cards", "placed/req", "active", "wave ok/fail",
                       "makespan (s)", "io-pause max (ms)", "events (M)",
@@ -322,7 +189,7 @@ main(int argc, char **argv)
               std::to_string(placed) + "/" + std::to_string(requested),
               harness::Table::fmtInt(static_cast<int>(active.size())),
               std::to_string(w.opsOk) + "/" + std::to_string(w.opsFailed),
-              harness::Table::fmt(makespanGate.value, 2),
+              harness::Table::fmt(makespanS, 2),
               harness::Table::fmt(w.ioPauseMsMax, 1),
               harness::Table::fmt(static_cast<double>(events) / 1e6, 2),
               harness::Table::fmt(eventsPerSec / 1e3, 1),
@@ -333,27 +200,48 @@ main(int argc, char **argv)
                 "(limit %.0fs), %.0fk events/sec (floor %.0fk), "
                 "drill: %u windows / %u node losses / %u storm "
                 "rejections\n",
-                placementQuality, placementFloor, makespanGate.value,
+                placementQuality, placementFloor, makespanS,
                 makespanLimitS, eventsPerSec / 1e3, eventsFloor / 1e3,
                 fm.faultWindowsOpened(), fm.nodeLossesRecovered(),
                 fm.stormRejections());
 
-    writeJson(jsonPath, quick ? "quick" : "full", fm, requested, placed,
-              static_cast<int>(active.size()), tot.ops, tot.verifiedBlocks,
-              events, eventsPerSec, wallSec, placementGate, makespanGate,
-              epsGate, wallGate, pass);
-    std::printf("fleet measurements written to %s\n", jsonPath.c_str());
-
-    if (!pass) {
-        std::fprintf(stderr,
-                     "ext_fleet: GATE FAILURE (placement %.3f/%.3f, "
-                     "makespan %.2f/%.0f, events/sec %.0f/%.0f, "
-                     "wall %.1f/%.0f)\n",
-                     placementQuality, placementFloor, makespanGate.value,
-                     makespanLimitS, eventsPerSec, eventsFloor, wallSec,
-                     wallLimit);
-        return 1;
-    }
-    std::printf("ext_fleet: all gates passed\n");
-    return 0;
+    char traceHash[17];
+    std::snprintf(traceHash, sizeof traceHash, "%016llx",
+                  static_cast<unsigned long long>(fm.traceHash()));
+    harness::JsonWriter json;
+    json.field("bench", "ext_fleet")
+        .field("mode", quick ? "quick" : "full")
+        .field("cards", fm.cards())
+        .field("ssdsPerCard", fm.config().ssdsPerCard)
+        .field("tenantsRequested", requested)
+        .field("tenantsPlaced", placed)
+        .field("tenantsActive", active.size())
+        .field("totalOps", tot.ops)
+        .field("verifiedBlocks", tot.verifiedBlocks)
+        .object("wave")
+        .field("opsOk", w.opsOk)
+        .field("opsFailed", w.opsFailed)
+        .field("pauses", w.pauses)
+        .field("gateTrips", w.gateTrips)
+        .number("makespanMs", sim::toMs(w.makespan), 1)
+        .number("ioPauseMsMax", w.ioPauseMsMax, 1)
+        .field("evacuatedChunks", w.evacuatedChunks)
+        .end()
+        .object("drill")
+        .field("faultWindows", fm.faultWindowsOpened())
+        .field("nodeLosses", fm.nodeLossesRecovered())
+        .field("stormRejections", fm.stormRejections())
+        .end()
+        .field("events", events)
+        .number("eventsPerSec", eventsPerSec, 1)
+        .number("wallSeconds", wallSec, 1)
+        .field("traceHash", traceHash);
+    return harness::finishReport(
+        "ext_fleet", json,
+        {harness::Gate::floor("placementQuality", placementQuality,
+                              placementFloor, 3),
+         harness::Gate::limit("waveMakespanS", makespanS, makespanLimitS, 2),
+         harness::Gate::floor("eventsPerSec", eventsPerSec, eventsFloor, 1),
+         harness::Gate::limit("wallSeconds", wallSec, wallLimit, 1)},
+        jsonPath, "fleet measurements");
 }

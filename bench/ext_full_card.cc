@@ -27,11 +27,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "sim/lane_audit.hh"
@@ -51,14 +50,6 @@ struct SweepPoint
     double wallMs = 0.0;
     double simMs = 0.0;
 };
-
-double
-wallSecondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-}
 
 SweepPoint
 runPoint(int tenants, sim::Tick ramp, sim::Tick run)
@@ -95,7 +86,10 @@ runPoint(int tenants, sim::Tick ramp, sim::Tick run)
     sim::Tick sim0 = bed.sim().now();
     auto wall0 = std::chrono::steady_clock::now();
     auto results = harness::runFioMany(bed.sim(), devs, spec);
-    double wallSec = wallSecondsSince(wall0);
+    double wallSec =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wall0)
+            .count();
 
     SweepPoint p;
     p.tenants = tenants;
@@ -111,78 +105,25 @@ runPoint(int tenants, sim::Tick ramp, sim::Tick run)
     return p;
 }
 
-void
-writeJson(const std::string &path, const char *mode,
-          const std::vector<SweepPoint> &points, double scaleRatio,
-          double scaleFloor, double aggEventsPerSec, double eventsFloor,
-          double wallSec, double wallLimit, bool pass)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "ext_full_card: cannot write %s\n",
-                     path.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"ext_full_card\",\n");
-    std::fprintf(f, "  \"mode\": \"%s\",\n  \"ssds\": 4,\n", mode);
-    std::fprintf(f, "  \"points\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const SweepPoint &p = points[i];
-        std::fprintf(f,
-                     "    {\"tenants\": %d, \"iops\": %.1f, "
-                     "\"mbps\": %.1f, \"events\": %llu, "
-                     "\"eventsPerSec\": %.1f, \"wallMs\": %.1f, "
-                     "\"simMs\": %.3f}%s\n",
-                     p.tenants, p.iops, p.mbPerSec,
-                     static_cast<unsigned long long>(p.events),
-                     p.eventsPerSec, p.wallMs, p.simMs,
-                     i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"gates\": {\n");
-    std::fprintf(f,
-                 "    \"iopsScaling\": {\"value\": %.3f, \"floor\": %.3f, "
-                 "\"pass\": %s},\n",
-                 scaleRatio, scaleFloor,
-                 scaleRatio >= scaleFloor ? "true" : "false");
-    std::fprintf(f,
-                 "    \"eventsPerSec\": {\"value\": %.1f, \"floor\": %.1f, "
-                 "\"pass\": %s},\n",
-                 aggEventsPerSec, eventsFloor,
-                 aggEventsPerSec >= eventsFloor ? "true" : "false");
-    std::fprintf(f,
-                 "    \"wallSeconds\": {\"value\": %.1f, \"limit\": %.1f, "
-                 "\"pass\": %s}\n",
-                 wallSec, wallLimit, wallSec <= wallLimit ? "true" : "false");
-    std::fprintf(f, "  },\n  \"pass\": %s\n}\n", pass ? "true" : "false");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
-    if (sim::LaneAudit::active())
-        sim::LaneAudit::instance().setRun("full_card");
-
     bool quick = false;
     double scaleFloor = 2.0;
     double eventsFloor = 200e3;
     double wallLimit = 600.0;
     std::string jsonPath = "BENCH_full_card.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else if (std::strncmp(argv[i], "--scale-floor=", 14) == 0)
-            scaleFloor = std::atof(argv[i] + 14);
-        else if (std::strncmp(argv[i], "--events-floor=", 15) == 0)
-            eventsFloor = std::atof(argv[i] + 15);
-        else if (std::strncmp(argv[i], "--wall-limit-s=", 15) == 0)
-            wallLimit = std::atof(argv[i] + 15);
-        else if (std::strncmp(argv[i], "--json=", 7) == 0)
-            jsonPath = argv[i] + 7;
-    }
+    harness::Flags("ext_full_card")
+        .flag("--quick", quick)
+        .number("--scale-floor", scaleFloor)
+        .number("--events-floor", eventsFloor)
+        .number("--wall-limit-s", wallLimit)
+        .text("--json", jsonPath)
+        .parse(argc, argv);
+    if (sim::LaneAudit::active())
+        sim::LaneAudit::instance().setRun("full_card");
 
     std::vector<int> sweep =
         quick ? std::vector<int>{4, 16, 48}
@@ -204,7 +145,10 @@ main(int argc, char **argv)
                   harness::Table::fmt(p.eventsPerSec / 1e6, 2),
                   harness::Table::fmt(p.wallMs / 1e3, 1)});
     }
-    double wallSec = wallSecondsSince(wall0);
+    double wallSec =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wall0)
+            .count();
 
     double scaleRatio =
         points.front().iops > 0 ? points.back().iops / points.front().iops
@@ -229,20 +173,28 @@ main(int argc, char **argv)
                 aggEventsPerSec / 1e6, eventsFloor / 1e6, wallSec,
                 wallLimit);
 
-    bool pass = scaleRatio >= scaleFloor && aggEventsPerSec >= eventsFloor &&
-                wallSec <= wallLimit;
-    writeJson(jsonPath, quick ? "quick" : "full", points, scaleRatio,
-              scaleFloor, aggEventsPerSec, eventsFloor, wallSec, wallLimit,
-              pass);
-    std::printf("trajectory written to %s\n", jsonPath.c_str());
-
-    if (!pass) {
-        std::fprintf(stderr, "ext_full_card: GATE FAILURE (scaling %.2f/%.2f, "
-                             "events/sec %.0f/%.0f, wall %.1f/%.0f)\n",
-                     scaleRatio, scaleFloor, aggEventsPerSec, eventsFloor,
-                     wallSec, wallLimit);
-        return 1;
+    harness::JsonWriter json;
+    json.field("bench", "ext_full_card")
+        .field("mode", quick ? "quick" : "full")
+        .field("ssds", 4)
+        .array("points");
+    for (const SweepPoint &p : points) {
+        json.object()
+            .field("tenants", p.tenants)
+            .number("iops", p.iops, 1)
+            .number("mbps", p.mbPerSec, 1)
+            .field("events", p.events)
+            .number("eventsPerSec", p.eventsPerSec, 1)
+            .number("wallMs", p.wallMs, 1)
+            .number("simMs", p.simMs, 3)
+            .end();
     }
-    std::printf("ext_full_card: all gates passed\n");
-    return 0;
+    json.end();
+    return harness::finishReport(
+        "ext_full_card", json,
+        {harness::Gate::floor("iopsScaling", scaleRatio, scaleFloor, 3),
+         harness::Gate::floor("eventsPerSec", aggEventsPerSec, eventsFloor,
+                              1),
+         harness::Gate::limit("wallSeconds", wallSec, wallLimit, 1)},
+        jsonPath, "trajectory");
 }

@@ -29,13 +29,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "workload/fio.hh"
@@ -128,86 +127,21 @@ spillChunks(harness::BmStoreTestbed &bed, int k)
         sim::seconds(10));
 }
 
-void
-writeJson(const std::string &path, const char *mode, const PhaseResult &idle,
-          const PhaseResult &churn, int moves, int tierFailures,
-          const std::vector<SweepPoint> &sweep, double p99Ratio,
-          double p99Factor, int movesFloor, std::uint64_t ioErrors, bool pass)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "ext_remote_storage: cannot write %s\n",
-                     path.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"ext_remote_storage\",\n");
-    std::fprintf(f, "  \"mode\": \"%s\",\n", mode);
-    std::fprintf(f,
-                 "  \"localSsds\": %d, \"remoteNodes\": %d, "
-                 "\"volumesPerNode\": %d,\n",
-                 kLocalSsds, kRemoteNodes, kVolumesPerNode);
-    std::fprintf(f,
-                 "  \"idle\": {\"iops\": %.1f, \"avgUs\": %.2f, "
-                 "\"p99Us\": %.2f, \"errors\": %llu},\n",
-                 idle.iops, idle.avgUs, idle.p99Us,
-                 static_cast<unsigned long long>(idle.errors));
-    std::fprintf(f,
-                 "  \"churn\": {\"iops\": %.1f, \"avgUs\": %.2f, "
-                 "\"p99Us\": %.2f, \"errors\": %llu, \"tierMoves\": %d, "
-                 "\"tierFailures\": %d},\n",
-                 churn.iops, churn.avgUs, churn.p99Us,
-                 static_cast<unsigned long long>(churn.errors), moves,
-                 tierFailures);
-    std::fprintf(f, "  \"sweep\": [\n");
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-        const SweepPoint &p = sweep[i];
-        std::fprintf(f,
-                     "    {\"spilledChunks\": %d, \"remoteShare\": %.2f, "
-                     "\"iops\": %.1f, \"avgUs\": %.2f, \"p99Us\": %.2f}%s\n",
-                     p.spilledChunks,
-                     static_cast<double>(p.spilledChunks) / kChunks, p.io.iops,
-                     p.io.avgUs, p.io.p99Us,
-                     i + 1 < sweep.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"gates\": {\n");
-    std::fprintf(f,
-                 "    \"p99Churn\": {\"value\": %.3f, \"limit\": %.3f, "
-                 "\"pass\": %s},\n",
-                 p99Ratio, p99Factor, p99Ratio <= p99Factor ? "true" : "false");
-    std::fprintf(f,
-                 "    \"tierMoves\": {\"value\": %d, \"floor\": %d, "
-                 "\"pass\": %s},\n",
-                 moves, movesFloor, moves >= movesFloor ? "true" : "false");
-    std::fprintf(f,
-                 "    \"ioErrors\": {\"value\": %llu, \"limit\": 0, "
-                 "\"pass\": %s}\n",
-                 static_cast<unsigned long long>(ioErrors),
-                 ioErrors == 0 ? "true" : "false");
-    std::fprintf(f, "  },\n  \"pass\": %s\n}\n", pass ? "true" : "false");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
-
     bool quick = false;
     double p99Factor = 2.0;
     int movesFloor = -1; // resolved after --quick is known
     std::string jsonPath = "BENCH_remote_tier.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else if (std::strncmp(argv[i], "--p99-factor=", 13) == 0)
-            p99Factor = std::atof(argv[i] + 13);
-        else if (std::strncmp(argv[i], "--moves-floor=", 14) == 0)
-            movesFloor = std::atoi(argv[i] + 14);
-        else if (std::strncmp(argv[i], "--json=", 7) == 0)
-            jsonPath = argv[i] + 7;
-    }
+    harness::Flags("ext_remote_storage")
+        .flag("--quick", quick)
+        .number("--p99-factor", p99Factor)
+        .integer("--moves-floor", movesFloor)
+        .text("--json", jsonPath)
+        .parse(argc, argv);
     if (movesFloor < 0)
         movesFloor = quick ? 2 : 4;
 
@@ -307,21 +241,38 @@ main(int argc, char **argv)
                 movesFloor, tierFailures,
                 static_cast<unsigned long long>(ioErrors));
 
-    bool pass =
-        p99Ratio <= p99Factor && moves >= movesFloor && ioErrors == 0;
-    writeJson(jsonPath, quick ? "quick" : "full", idle, churn, moves,
-              tierFailures, sweep, p99Ratio, p99Factor, movesFloor, ioErrors,
-              pass);
-    std::printf("trajectory written to %s\n", jsonPath.c_str());
-
-    if (!pass) {
-        std::fprintf(stderr,
-                     "ext_remote_storage: GATE FAILURE (p99 %.2f/%.2f, "
-                     "moves %d/%d, errors %llu)\n",
-                     p99Ratio, p99Factor, moves, movesFloor,
-                     static_cast<unsigned long long>(ioErrors));
-        return 1;
+    harness::JsonWriter json;
+    auto latency = [&](const PhaseResult &r) -> harness::JsonWriter & {
+        return json.number("iops", r.iops, 1)
+            .number("avgUs", r.avgUs, 2)
+            .number("p99Us", r.p99Us, 2);
+    };
+    json.field("bench", "ext_remote_storage")
+        .field("mode", quick ? "quick" : "full")
+        .field("localSsds", kLocalSsds)
+        .field("remoteNodes", kRemoteNodes)
+        .field("volumesPerNode", kVolumesPerNode)
+        .object("idle");
+    latency(idle).field("errors", idle.errors).end().object("churn");
+    latency(churn)
+        .field("errors", churn.errors)
+        .field("tierMoves", moves)
+        .field("tierFailures", tierFailures)
+        .end()
+        .array("sweep");
+    for (const SweepPoint &p : sweep) {
+        json.object()
+            .field("spilledChunks", p.spilledChunks)
+            .number("remoteShare",
+                    static_cast<double>(p.spilledChunks) / kChunks, 2);
+        latency(p.io).end();
     }
-    std::printf("ext_remote_storage: all gates passed\n");
-    return 0;
+    json.end();
+    return harness::finishReport(
+        "ext_remote_storage", json,
+        {harness::Gate::limit("p99Churn", p99Ratio, p99Factor, 3),
+         harness::Gate::floor("tierMoves", moves, movesFloor, 0),
+         harness::Gate::limit("ioErrors", static_cast<double>(ioErrors), 0,
+                              0)},
+        jsonPath, "trajectory");
 }

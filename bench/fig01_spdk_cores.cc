@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "workload/fio.hh"
@@ -62,7 +63,7 @@ vhostBandwidth(int cores, const workload::FioJobSpec &spec)
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("fig01_spdk_cores").parse(argc, argv);
     // The paper's caption: seq read 128K, qd 256, 4 threads (per VM
     // disk); guests use multi-queue virtio, so every extra bound core
     // picks up rings until the SSDs saturate.

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "workload/fio.hh"
@@ -19,7 +20,7 @@ using namespace bms;
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("fig08_baremetal_single_disk").parse(argc, argv);
     std::vector<workload::FioJobSpec> cases = workload::fioTableIv();
 
     harness::Table perf({"case", "native IOPS", "bms IOPS", "ratio",

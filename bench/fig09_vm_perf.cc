@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "workload/fio.hh"
@@ -57,7 +58,7 @@ runVhost(const workload::FioJobSpec &spec)
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("fig09_vm_perf").parse(argc, argv);
     harness::Table perf({"case", "VFIO IOPS", "BMS IOPS", "vhost IOPS",
                          "BMS/VFIO", "vhost/VFIO", "VFIO MB/s",
                          "BMS MB/s", "vhost MB/s"});

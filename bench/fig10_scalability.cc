@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "workload/fio.hh"
@@ -17,7 +18,7 @@ using namespace bms;
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("fig10_scalability").parse(argc, argv);
     workload::FioJobSpec spec = workload::fioSeqR256();
 
     harness::Table t({"SSDs", "total BW (GB/s)", "scaling vs 1 SSD"});

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "workload/fio.hh"
@@ -19,7 +20,7 @@ using namespace bms;
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("fig11_multi_vm").parse(argc, argv);
     workload::FioJobSpec spec = workload::fioSeqR256();
     spec.numjobs = 1;
     spec.iodepth = 256;

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "workload/fio.hh"
@@ -16,7 +17,7 @@ using namespace bms;
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("fig12_fairness_tail").parse(argc, argv);
     harness::Table t({"case", "VM", "p50(us)", "p99(us)", "p99.9(us)",
                       "avg(us)"});
     for (auto spec : workload::fioTableIv()) {

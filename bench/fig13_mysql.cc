@@ -13,6 +13,7 @@
 #include "apps/mysql_model.hh"
 #include "apps/sysbench.hh"
 #include "apps/tpcc.hh"
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 
@@ -96,7 +97,7 @@ runVhost()
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("fig13_mysql").parse(argc, argv);
     AppResult vfio = runVfio();
     AppResult bms = runBms();
     AppResult vhost = runVhost();

@@ -17,6 +17,7 @@
 #include "apps/rocksdb_model.hh"
 #include "apps/sysbench.hh"
 #include "apps/ycsb.hh"
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 
@@ -143,7 +144,7 @@ runVhost()
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("fig14_mixed_workloads").parse(argc, argv);
     MixedResult vfio = runVfio();
     MixedResult bms = runBms();
     MixedResult vhost = runVhost();

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "sim/stats.hh"
@@ -99,7 +100,7 @@ printTimeline(const char *title, const UpgradeRun &run)
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("fig15_hotupgrade").parse(argc, argv);
     UpgradeRun rd = runCase(workload::FioPattern::RandRead, "rand-read");
     UpgradeRun wr = runCase(workload::FioPattern::RandWrite,
                             "rand-write");

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 
 using namespace bms;
@@ -15,7 +16,7 @@ using namespace bms;
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("table01_features").parse(argc, argv);
     harness::Table t({"property", "MDev", "SPDK vhost", "SR-IOV",
                       "LeapIO", "FVM", "BM-Store"});
     t.addRow({"Host efficiency", "-", "-", "yes", "yes", "yes", "yes"});

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "core/engine/resources.hh"
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 
 using namespace bms;
@@ -15,7 +16,7 @@ using namespace bms;
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("table02_fpga_resources").parse(argc, argv);
     core::FpgaResourceModel model;
     core::FpgaDevice device;
 

@@ -13,6 +13,7 @@
 
 #include <cstdio>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "workload/fio.hh"
@@ -22,7 +23,7 @@ using namespace bms;
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    harness::Flags("table06_os_kernels").parse(argc, argv);
     struct Platform
     {
         host::PlatformProfile profile;

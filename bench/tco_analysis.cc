@@ -14,10 +14,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
+#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/tco.hh"
 
@@ -25,58 +24,31 @@ using namespace bms;
 
 namespace {
 
-/** Minimal scan for `"key": <number>` in a one-object JSON file.
- *  Good enough for BENCH_fleet.json, which we also write. */
-bool
-jsonNumber(const std::string &text, const std::string &key, double &out)
-{
-    std::string needle = "\"" + key + "\":";
-    std::size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t'))
-        ++pos;
-    char *end = nullptr;
-    double v = std::strtod(text.c_str() + pos, &end);
-    if (end == text.c_str() + pos)
-        return false;
-    out = v;
-    return true;
-}
-
 void
 fleetScaleTco(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        std::fprintf(stderr, "tco_analysis: cannot read %s\n",
-                     path.c_str());
+    harness::JsonNumbers doc;
+    if (std::string err = harness::readJson(path, doc); !err.empty()) {
+        std::fprintf(stderr, "tco_analysis: %s\n", err.c_str());
         std::exit(1);
     }
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-
-    double cards = 0, ssds_per_card = 0, tenants = 0, requested = 0;
-    double io_pause_ms = 0, makespan_ms = 0;
-    bool ok = jsonNumber(text, "cards", cards) &&
-              jsonNumber(text, "ssdsPerCard", ssds_per_card) &&
-              jsonNumber(text, "tenantsPlaced", tenants) &&
-              jsonNumber(text, "tenantsRequested", requested) &&
-              jsonNumber(text, "ioPauseMsMax", io_pause_ms) &&
-              jsonNumber(text, "makespanMs", makespan_ms);
-    if (!ok) {
-        std::fprintf(stderr,
-                     "tco_analysis: %s is missing fleet fields "
-                     "(expected ext_fleet output)\n",
-                     path.c_str());
-        std::exit(1);
-    }
+    auto field = [&](const char *key) {
+        auto it = doc.find(key);
+        if (it == doc.end()) {
+            std::fprintf(stderr,
+                         "tco_analysis: %s has no number at '%s' "
+                         "(expected ext_fleet output)\n",
+                         path.c_str(), key);
+            std::exit(1);
+        }
+        return it->second;
+    };
+    double cards = field("cards");
+    double ssds_per_card = field("ssdsPerCard");
+    double tenants = field("tenantsPlaced");
+    double requested = field("tenantsRequested");
+    double io_pause_ms = field("wave.ioPauseMsMax");
+    double makespan_ms = field("wave.makespanMs");
 
     harness::TcoInputs in;
     harness::TcoComparison cmp = harness::compareTco(in);
@@ -132,12 +104,10 @@ fleetScaleTco(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
     std::string fleetJson;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--fleet-json=", 13) == 0)
-            fleetJson = argv[i] + 13;
-    }
+    harness::Flags("tco_analysis")
+        .text("--fleet-json", fleetJson)
+        .parse(argc, argv);
 
     harness::TcoInputs in;
     harness::TcoResult spdk = harness::tcoSpdk(in);

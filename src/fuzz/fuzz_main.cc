@@ -16,6 +16,8 @@
  * pinned families replay byte-identically.
  *
  * BMS_FUZZ_SEED=N is equivalent to --seed=N (repro from CI logs).
+ * An unknown flag, a malformed number or seed, or a reversed --seeds
+ * range exits 2 with the usage line (harness::Flags).
  * Exits nonzero on the first failing seed, after printing the seed
  * and the op log of the interleaving that broke.
  */
@@ -27,22 +29,12 @@
 
 #include "fuzz/fleet_fuzzer.hh"
 #include "fuzz/fuzzer.hh"
-#include "harness/runner.hh"
+#include "harness/bench_report.hh"
 #include "sim/lane_audit.hh"
 
 using namespace bms;
 
 namespace {
-
-bool
-parseU64(const char *arg, const char *flag, std::uint64_t &out)
-{
-    std::size_t n = std::strlen(flag);
-    if (std::strncmp(arg, flag, n) != 0)
-        return false;
-    out = std::strtoull(arg + n, nullptr, 0);
-    return true;
-}
 
 void
 printReport(const fuzz::FuzzReport &r)
@@ -115,89 +107,63 @@ printFleetReport(const fuzz::FleetFuzzReport &r)
 int
 main(int argc, char **argv)
 {
-    harness::applyCommonFlags(argc, argv);
-
     fuzz::FuzzConfig cfg;
     fuzz::FleetFuzzConfig fleet_cfg;
     bool fleet = false;
     std::uint64_t first = 1, last = 1;
     bool seeded = false;
-    if (const char *env = std::getenv("BMS_FUZZ_SEED")) {
-        first = last = std::strtoull(env, nullptr, 0);
-        seeded = true;
-    }
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        std::uint64_t v = 0;
-        if (parseU64(a, "--seed=", v)) {
-            first = last = v;
-            seeded = true;
-        } else if (std::strncmp(a, "--seeds=", 8) == 0) {
-            const char *colon = std::strchr(a + 8, ':');
-            if (!colon) {
-                std::fprintf(stderr, "fuzz: --seeds wants A:B\n");
-                return 2;
-            }
-            first = std::strtoull(a + 8, nullptr, 0);
-            last = std::strtoull(colon + 1, nullptr, 0);
-            seeded = true;
-        } else if (parseU64(a, "--horizon-ms=", v)) {
-            cfg.horizon = sim::milliseconds(v);
-        } else if (parseU64(a, "--max-tenants=", v)) {
-            cfg.maxTenants = static_cast<int>(v);
-        } else if (parseU64(a, "--max-ssds=", v)) {
-            cfg.maxSsds = static_cast<int>(v);
-        } else if (parseU64(a, "--min-ssds=", v)) {
-            cfg.minSsds = static_cast<int>(v);
-        } else if (std::strcmp(a, "--no-faults") == 0) {
-            cfg.enableFaults = false;
-        } else if (std::strcmp(a, "--no-control") == 0) {
-            cfg.enableControlOps = false;
-        } else if (std::strcmp(a, "--no-upgrade") == 0) {
-            cfg.enableHotUpgrade = false;
-        } else if (std::strcmp(a, "--no-migration") == 0) {
-            cfg.enableMigration = false;
-        } else if (std::strcmp(a, "--force-migration") == 0) {
-            cfg.forceMigration = true;
-        } else if (parseU64(a, "--remote-nodes=", v)) {
-            cfg.maxRemoteNodes = static_cast<int>(v);
-        } else if (std::strcmp(a, "--force-tiering") == 0) {
-            cfg.forceTiering = true;
-        } else if (std::strcmp(a, "--thin") == 0) {
-            cfg.enableThin = true;
-        } else if (std::strcmp(a, "--force-thin") == 0) {
-            cfg.forceThin = true;
-        } else if (std::strcmp(a, "--fleet") == 0) {
-            fleet = true;
-        } else if (parseU64(a, "--cards=", v)) {
-            fleet_cfg.cards = static_cast<int>(v);
-        } else if (std::strcmp(a, "--no-wave") == 0) {
-            fleet_cfg.enableWave = false;
-        } else if (std::strcmp(a, "--no-drill") == 0) {
-            fleet_cfg.enableDrill = false;
-        } else if (std::strncmp(a, "--paranoid", 10) == 0 ||
-                   std::strncmp(a, "--log=", 6) == 0 ||
-                   std::strncmp(a, "--lane-audit-out=", 17) == 0) {
-            // handled by applyCommonFlags
-        } else {
-            std::fprintf(stderr, "fuzz: unknown flag %s\n", a);
-            return 2;
-        }
-    }
+    std::uint64_t horizon_ms = cfg.horizon / sim::milliseconds(1);
+    auto seed = [&](const char *v) {
+        seeded = harness::Flags::parseUnsigned(v, first);
+        last = first;
+        return seeded;
+    };
+    harness::Flags flags("fuzz");
+    flags.custom("--seed", "N", seed)
+        .custom("--seeds", "A:B",
+                [&](const char *v) {
+                    const char *colon = std::strchr(v, ':');
+                    // A reversed range would run no seed and pass.
+                    seeded = colon != nullptr &&
+                             harness::Flags::parseUnsigned(
+                                 std::string(v, colon).c_str(), first) &&
+                             harness::Flags::parseUnsigned(colon + 1, last) &&
+                             first <= last;
+                    return seeded;
+                })
+        .integer("--horizon-ms", horizon_ms)
+        .integer("--max-tenants", cfg.maxTenants)
+        .integer("--max-ssds", cfg.maxSsds)
+        .integer("--min-ssds", cfg.minSsds)
+        .integer("--remote-nodes", cfg.maxRemoteNodes)
+        .integer("--cards", fleet_cfg.cards)
+        .flag("--force-migration", cfg.forceMigration)
+        .flag("--force-tiering", cfg.forceTiering)
+        .flag("--thin", cfg.enableThin)
+        .flag("--force-thin", cfg.forceThin)
+        .flag("--fleet", fleet)
+        .flag("--no-faults", cfg.enableFaults, false)
+        .flag("--no-control", cfg.enableControlOps, false)
+        .flag("--no-upgrade", cfg.enableHotUpgrade, false)
+        .flag("--no-migration", cfg.enableMigration, false)
+        .flag("--no-wave", fleet_cfg.enableWave, false)
+        .flag("--no-drill", fleet_cfg.enableDrill, false);
+    if (const char *env = std::getenv("BMS_FUZZ_SEED"); env && !seed(env))
+        flags.fail(std::string("bad value in BMS_FUZZ_SEED='") + env + "'");
+    flags.parse(argc, argv);
+    cfg.horizon = sim::milliseconds(horizon_ms);
     if (!seeded)
         std::fprintf(stderr,
                      "fuzz: no --seed/--seeds given, running seed 1\n");
 
-    for (std::uint64_t seed = first; seed <= last; ++seed) {
-        cfg.seed = seed;
-        if (sim::LaneAudit::active()) {
-            sim::LaneAudit::instance().setRun("seed" +
-                                              std::to_string(seed));
-        }
+    for (std::uint64_t s = first; s <= last; ++s) {
+        cfg.seed = s;
+        if (sim::LaneAudit::active())
+            sim::LaneAudit::instance().setRun("seed" + std::to_string(s));
         // Failures panic (abort) inside run(), printing the seed and
         // the op log — exactly what a sweep script wants to capture.
         if (fleet) {
-            fleet_cfg.seed = seed;
+            fleet_cfg.seed = s;
             fleet_cfg.horizon = cfg.horizon;
             fuzz::FleetFuzzer fuzzer(fleet_cfg);
             printFleetReport(fuzzer.run());

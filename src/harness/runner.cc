@@ -3,64 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 
 #include "sim/check.hh"
-#include "sim/lane_audit.hh"
-#include "sim/log.hh"
 
 namespace bms::harness {
-
-namespace {
-
-/** Destination of --lane-audit-out= (atexit handlers cannot capture). */
-std::string g_laneAuditPath;
-std::string g_laneAuditProg;
-
-void
-writeLaneCensus()
-{
-    if (!sim::LaneAudit::instance().writeJson(g_laneAuditPath,
-                                              g_laneAuditProg)) {
-        std::fprintf(stderr, "lane-audit: cannot write %s\n",
-                     g_laneAuditPath.c_str());
-    }
-}
-
-} // namespace
-
-void
-applyCommonFlags(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--paranoid") == 0) {
-            sim::Check::setParanoid(true);
-        } else if (std::strncmp(argv[i], "--log=", 6) == 0) {
-            const char *lvl = argv[i] + 6;
-            if (std::strcmp(lvl, "warn") == 0)
-                sim::Log::setLevel(sim::LogLevel::Warn);
-            else if (std::strcmp(lvl, "info") == 0)
-                sim::Log::setLevel(sim::LogLevel::Info);
-            else if (std::strcmp(lvl, "debug") == 0)
-                sim::Log::setLevel(sim::LogLevel::Debug);
-            else if (std::strcmp(lvl, "trace") == 0)
-                sim::Log::setLevel(sim::LogLevel::Trace);
-            else
-                std::fprintf(stderr, "unknown log level '%s'\n", lvl);
-        } else if (std::strncmp(argv[i], "--lane-audit-out=", 17) == 0) {
-            // Same-tick lane-conflict census (DESIGN.md §13): record
-            // every instrumented access and dump the ranked census on
-            // exit. Meaningful in -DBMS_LANE_AUDIT=ON builds; elsewhere
-            // the hooks are compiled out and the census is empty.
-            g_laneAuditPath = argv[i] + 17;
-            g_laneAuditProg = argv[0];
-            sim::LaneAudit::instance().enable();
-            std::atexit(writeLaneCensus);
-        }
-    }
-}
 
 workload::FioResult
 runFio(sim::Simulator &sim, host::BlockDeviceIf &dev,

@@ -1,6 +1,7 @@
 /**
  * @file
- * Experiment runners and table printers shared by bench binaries.
+ * fio runners and the text table shared by bench binaries. Their
+ * command line, gates and JSON report are in harness/bench_report.hh.
  */
 
 #ifndef BMS_HARNESS_RUNNER_HH
@@ -15,15 +16,6 @@
 #include "workload/fio.hh"
 
 namespace bms::harness {
-
-/**
- * Parse the flags every bench/example binary shares:
- *   --paranoid   enable structure-wide invariant sweeps on hot paths
- *                (sim::Check::paranoid(); also BMS_PARANOID=1)
- *   --log=LEVEL  raise the log level (warn|info|debug|trace)
- * Unknown arguments are left alone so binaries can add their own.
- */
-void applyCommonFlags(int argc, char **argv);
 
 /** Run one fio spec to completion on @p dev; returns its results. */
 workload::FioResult runFio(sim::Simulator &sim, host::BlockDeviceIf &dev,

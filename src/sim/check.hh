@@ -21,7 +21,7 @@
  *
  * `Check::paranoid()` gates the O(structure) self-checks
  * (`checkInvariants()` methods) that hot paths run after mutations;
- * enable it with `--paranoid` (see harness::applyCommonFlags) or the
+ * enable it with `--paranoid` (see harness::Flags) or the
  * `BMS_PARANOID=1` environment variable. Tests enable it
  * unconditionally (tests/panic_mode.cc).
  */
