@@ -22,8 +22,9 @@
  *   --wall-limit-s=S      whole bench wall-time limit (default 600)
  *
  * `--quick` shrinks the fleet (8 cards, ~160 admissions) for the
- * pre-PR smoke gate; `--json=PATH` overrides where the
- * machine-readable file lands (default BENCH_fleet.json). The JSON
+ * pre-PR smoke gate. `--json=PATH` writes the machine-readable file
+ * there (the committed one is BENCH_fleet.json); without it the bench
+ * writes no file. The JSON
  * carries the raw fleet measurements `tco_analysis --fleet-json=PATH`
  * feeds into the paper's §VI-C model at fleet scale. Unknown flags and
  * unparsable numbers exit 2. Drains are bounded (a lost completion
@@ -52,7 +53,7 @@ main(int argc, char **argv)
     double makespanLimitS = 60.0;
     double eventsFloor = 200e3;
     double wallLimit = 600.0;
-    std::string jsonPath = "BENCH_fleet.json";
+    std::string jsonPath; // no --json=: write no file
     harness::Flags("ext_fleet")
         .flag("--quick", quick)
         .number("--placement-floor", placementFloor)

@@ -20,9 +20,9 @@
  *                       wall time (default 600)
  *
  * `--quick` shrinks the sweep (4/16/48 tenants, shorter windows) for
- * the pre-PR smoke gate; `--json=PATH` overrides where the
- * machine-readable trajectory file lands (default
- * BENCH_full_card.json in the current directory).
+ * the pre-PR smoke gate. `--json=PATH` writes the machine-readable
+ * trajectory file there (the committed one is BENCH_full_card.json);
+ * without it the bench writes no file.
  */
 
 #include <chrono>
@@ -114,7 +114,7 @@ main(int argc, char **argv)
     double scaleFloor = 2.0;
     double eventsFloor = 200e3;
     double wallLimit = 600.0;
-    std::string jsonPath = "BENCH_full_card.json";
+    std::string jsonPath; // no --json=: write no file
     harness::Flags("ext_full_card")
         .flag("--quick", quick)
         .number("--scale-floor", scaleFloor)

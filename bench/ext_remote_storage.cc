@@ -23,9 +23,10 @@
  *          (K = 0..4) — what a cold working set actually costs as
  *          its remote share grows.
  *
- * `--quick` shrinks both windows for the pre-PR smoke gate;
- * `--json=PATH` overrides the machine-readable output (default
- * BENCH_remote_tier.json in the current directory).
+ * `--quick` shrinks both windows for the pre-PR smoke gate.
+ * `--json=PATH` writes the machine-readable output there (the
+ * committed one is BENCH_remote_tier.json); without it the bench
+ * writes no file.
  */
 
 #include <cstdio>
@@ -135,7 +136,7 @@ main(int argc, char **argv)
     bool quick = false;
     double p99Factor = 2.0;
     int movesFloor = -1; // resolved after --quick is known
-    std::string jsonPath = "BENCH_remote_tier.json";
+    std::string jsonPath; // no --json=: write no file
     harness::Flags("ext_remote_storage")
         .flag("--quick", quick)
         .number("--p99-factor", p99Factor)

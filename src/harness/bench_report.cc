@@ -219,8 +219,10 @@ JsonWriter &
 JsonWriter::end()
 {
     BMS_ASSERT(_closers.size() > 1, "JSON end() without an open container");
-    if (!_first)
-        _out += "\n" + std::string(2 * (_closers.size() - 1), ' ');
+    if (!_first) {
+        _out += '\n';
+        _out.append(2 * (_closers.size() - 1), ' ');
+    }
     _out += _closers.back();
     _closers.pop_back();
     _first = false;
@@ -258,12 +260,16 @@ finishReport(const std::string &prog, JsonWriter &json,
     }
     bool pass = std::all_of(gates.begin(), gates.end(),
                             [](const Gate &g) { return g.pass(); });
-    bool saved = json.end().field("pass", pass).save(path);
-    if (saved)
-        std::printf("%s written to %s\n", what, path.c_str());
-    else
-        std::fprintf(stderr, "%s: cannot write %s\n", prog.c_str(),
-                     path.c_str());
+    json.end().field("pass", pass);
+    bool saved = true;
+    if (!path.empty()) {
+        saved = json.save(path);
+        if (saved)
+            std::printf("%s written to %s\n", what, path.c_str());
+        else
+            std::fprintf(stderr, "%s: cannot write %s\n", prog.c_str(),
+                         path.c_str());
+    }
     int rc = gateVerdict(prog, gates);
     return saved ? rc : 1;
 }

@@ -179,8 +179,10 @@ class JsonWriter
 
 /**
  * Append `"gates"` and `"pass"` to @p json, write it to @p path and
- * print `<what> written to <path>` and the gate verdict. Returns 0, or
- * 1 when a gate failed or the file could not be written.
+ * print `<what> written to <path>` and the gate verdict. An empty
+ * @p path (no `--json=` given) writes nothing, so a bench run never
+ * overwrites a file it was not pointed at. Returns 0, or 1 when a
+ * gate failed or the file could not be written.
  */
 int finishReport(const std::string &prog, JsonWriter &json,
                  const std::vector<Gate> &gates, const std::string &path,

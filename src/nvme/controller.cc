@@ -26,11 +26,16 @@ ControllerModel::ControllerModel(sim::Simulator &sim, std::string name,
 std::uint16_t
 ControllerModel::ioSqCount() const
 {
-    std::uint16_t n = 0;
+    return static_cast<std::uint16_t>(_ioSqIds.size());
+}
+
+void
+ControllerModel::rebuildIoSqIds()
+{
+    _ioSqIds.clear();
     for (std::size_t qid = 1; qid < _sqs.size(); ++qid)
         if (_sqs[qid].valid)
-            ++n;
-    return n;
+            _ioSqIds.push_back(static_cast<std::uint16_t>(qid));
 }
 
 ControllerModel::SqSnapshot
@@ -165,6 +170,7 @@ ControllerModel::disable()
     _enabled = false;
     for (auto &sq : _sqs)
         sq = SubQueue{};
+    _ioSqIds.clear();
     for (auto &cq : _cqs)
         cq = ComplQueue{};
     _inflight = 0;
@@ -283,8 +289,8 @@ ControllerModel::arbitrate()
         serviceRound(kQPrioLow, _cfg.wrrWeightLow,
                      &_wrrCursor[kQPrioLow]);
     }
-    for (std::size_t qid = 1; qid < _sqs.size(); ++qid) {
-        if (_sqs[qid].valid && _sqs[qid].backlog() != 0) {
+    for (std::uint16_t qid : _ioSqIds) {
+        if (_sqs[qid].backlog() != 0) {
             signalArbitration(); // leftover backlog: re-arm the pass
             break;
         }
@@ -298,24 +304,35 @@ ControllerModel::serviceRound(std::uint8_t prio, std::uint32_t credits,
     const auto n = static_cast<std::uint16_t>(_sqs.size() - 1);
     if (n == 0 || credits == 0)
         return 0;
-    std::uint32_t services = 0;
     std::uint16_t qid = *cursor;
     if (qid == 0 || qid > n)
         qid = 1;
-    std::uint16_t idle = 0; // consecutive queues without backlog
-    while (credits > 0 && idle < n) {
-        SubQueue &sq = _sqs[qid];
-        if (sq.valid && sq.backlog() != 0 &&
-            (prio == kPrioAny || sq.prio == prio)) {
-            fetchBurst(qid, _cfg.arbBurst);
+    // A walk over every slot from the cursor visits the created SQs
+    // in ascending order, wrapping, so start at the first id at or
+    // after the cursor. The walk stops once a whole cycle finds no
+    // backlog: after a service at p that cycle ends at p itself, and
+    // the cursor is left on the slot after the last service.
+    const auto k = _ioSqIds.size();
+    std::size_t i =
+        std::lower_bound(_ioSqIds.begin(), _ioSqIds.end(), qid) -
+        _ioSqIds.begin();
+    std::uint32_t services = 0;
+    std::size_t idle = 0; // consecutive SQs without backlog
+    while (credits > 0 && idle < k) {
+        if (i == k)
+            i = 0;
+        const std::uint16_t p = _ioSqIds[i++];
+        const SubQueue &sq = _sqs[p];
+        if (sq.backlog() != 0 && (prio == kPrioAny || sq.prio == prio)) {
+            fetchBurst(p, _cfg.arbBurst);
             --credits;
             ++services;
             idle = 0;
+            qid = (p == n) ? std::uint16_t{1}
+                           : static_cast<std::uint16_t>(p + 1);
         } else {
             ++idle;
         }
-        qid = (qid == n) ? std::uint16_t{1}
-                         : static_cast<std::uint16_t>(qid + 1);
     }
     *cursor = qid;
     return services;
@@ -418,13 +435,16 @@ ControllerModel::adminBuiltin(const Sqe &sqe)
         sq.head = sq.tail = 0;
         sq.cqid = cqid;
         sq.prio = static_cast<std::uint8_t>((sqe.cdw11 >> 1) & 0x3);
+        rebuildIoSqIds();
         complete(0, sqe.cid, Status::Success);
         return;
       }
       case AdminOpcode::DeleteIoSq: {
         std::uint16_t qid = sqe.cdw10 & 0xffff;
-        if (qid > 0 && qid < _sqs.size())
+        if (qid > 0 && qid < _sqs.size()) {
             _sqs[qid] = SubQueue{};
+            rebuildIoSqIds();
+        }
         complete(0, sqe.cid, Status::Success);
         return;
       }

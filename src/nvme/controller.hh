@@ -241,10 +241,14 @@ class ControllerModel : public sim::SimObject
     void signalArbitration();
     /** One arbitration pass over the IO SQs; re-arms while backlogged. */
     void arbitrate();
+    /** Rebuild _ioSqIds after an IO SQ was created or deleted. */
+    void rebuildIoSqIds();
     /**
      * Service SQs of class @p prio (kPrioAny matches all) in
      * round-robin order from @p *cursor, one burst per service, until
      * @p credits services are spent or a full cycle finds no backlog.
+     * Only created SQs are visited; the services and the final cursor
+     * are those of a walk over every SQ slot.
      * @return services performed.
      */
     std::uint32_t serviceRound(std::uint8_t prio, std::uint32_t credits,
@@ -263,6 +267,8 @@ class ControllerModel : public sim::SimObject
     std::uint64_t _aqa = 0, _asq = 0, _acq = 0, _cc = 0;
 
     std::vector<SubQueue> _sqs;
+    /** Ids of the valid IO SQs, ascending (the arbiter's domain). */
+    std::vector<std::uint16_t> _ioSqIds;
     std::vector<ComplQueue> _cqs;
     std::vector<NamespaceInfo> _nses;
 

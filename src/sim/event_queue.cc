@@ -25,27 +25,30 @@ EventQueue::createLane()
     return static_cast<LaneId>(_laneCount++);
 }
 
-EventId
-EventQueue::scheduleOn(LaneId lane, Tick when, Callback cb)
+std::uint32_t
+EventQueue::claimSlot(LaneId lane, Tick when, bool nullCallback)
 {
     BMS_ASSERT(when >= _now, "cannot schedule into the past: when=", when,
                " now=", _now);
-    BMS_ASSERT(cb, "null event callback scheduled for tick ", when);
+    BMS_ASSERT(!nullCallback, "null event callback scheduled for tick ",
+               when);
     BMS_ASSERT_LT(lane, _laneCount, "schedule on unknown lane ", lane);
 
-    std::uint32_t slot;
     if (!_freeSlots.empty()) {
-        slot = _freeSlots.back();
+        std::uint32_t slot = _freeSlots.back();
         _freeSlots.pop_back();
-    } else {
-        BMS_ASSERT_LT(_slots.size(), kMaxSlots, "event slot space exhausted");
-        slot = static_cast<std::uint32_t>(_slots.size());
-        _slots.emplace_back();
+        return slot;
     }
-    Slot &s = _slots[slot];
-    s.cb = std::move(cb);
-    s.state = SlotState::Pending;
+    BMS_ASSERT_LT(_slots.size(), kMaxSlots, "event slot space exhausted");
+    _slots.emplace_back();
+    return static_cast<std::uint32_t>(_slots.size() - 1);
+}
 
+EventId
+EventQueue::pushEntry(LaneId lane, Tick when, std::uint32_t slot)
+{
+    Slot &s = _slots[slot];
+    s.state = SlotState::Pending;
     _heap.push_back(HeapEntry{when, _nextSeq++, slot, lane});
     std::push_heap(_heap.begin(), _heap.end(), EntryLater{});
     ++_live;
@@ -69,7 +72,7 @@ EventQueue::cancel(EventId id)
     if (s.gen != gen || s.state != SlotState::Pending)
         return;
     s.state = SlotState::Cancelled;
-    s.cb = nullptr;
+    s.cb.reset(); // captures die now, not when the tombstone is purged
     ++_cancelled;
     BMS_ASSERT(_live > 0, "cancel(", id, ") with no live events");
     --_live;
@@ -79,7 +82,7 @@ void
 EventQueue::releaseSlot(std::uint32_t slot)
 {
     Slot &s = _slots[slot];
-    s.cb = nullptr;
+    s.cb.reset();
     s.state = SlotState::Free;
     if (++s.gen == 0)
         s.gen = 1;

@@ -6,7 +6,10 @@
  * (FIFO), which keeps every experiment bit-for-bit reproducible for a
  * given seed. The queue is one binary heap of POD entries ordered by
  * (when, seq), where `seq` is a queue-wide monotone schedule counter;
- * callbacks live in one slab indexed by the entry. Each entry also
+ * callbacks live in one slab indexed by the entry, each built in
+ * place inside its slot (sim/event_callback.hh), so scheduling an
+ * event whose closure fits the slot allocates nothing once the slab
+ * has grown. Each entry also
  * carries the lane (front function, SSD slot, host driver, ...) its
  * event was scheduled on. The lane is only a tag: it never takes part
  * in ordering, so execution order does not depend on the lane layout,
@@ -22,9 +25,10 @@
 #define BMS_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
+#include "sim/event_callback.hh"
 #include "sim/types.hh"
 
 namespace bms::sim {
@@ -48,7 +52,7 @@ inline constexpr LaneId kDefaultLane = 0;
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = EventCallback;
 
     EventQueue();
     ~EventQueue();
@@ -70,24 +74,40 @@ class EventQueue
 
     /**
      * Schedule @p cb to run at absolute time @p when on lane 0.
+     * @p cb is any `void()` callable; it is built once, in place in
+     * the event's slab slot.
      * @pre when >= now()
      * @return id usable with cancel().
      */
+    template <typename F>
     EventId
-    schedule(Tick when, Callback cb)
+    schedule(Tick when, F &&cb)
     {
-        return scheduleOn(kDefaultLane, when, std::move(cb));
+        return scheduleOn(kDefaultLane, when, std::forward<F>(cb));
     }
 
     /** Schedule @p cb to run @p delay ticks from now on lane 0. */
+    template <typename F>
     EventId
-    scheduleAfter(Tick delay, Callback cb)
+    scheduleAfter(Tick delay, F &&cb)
     {
-        return scheduleOn(kDefaultLane, _now + delay, std::move(cb));
+        return scheduleOn(kDefaultLane, _now + delay, std::forward<F>(cb));
     }
 
     /** Schedule @p cb at absolute time @p when on lane @p lane. */
-    EventId scheduleOn(LaneId lane, Tick when, Callback cb);
+    template <typename F>
+    EventId
+    scheduleOn(LaneId lane, Tick when, F &&cb)
+    {
+        std::uint32_t slot = claimSlot(lane, when, Callback::isNull(cb));
+        try {
+            _slots[slot].cb.emplace(std::forward<F>(cb));
+        } catch (...) {
+            _freeSlots.push_back(slot); // the slot never became pending
+            throw;
+        }
+        return pushEntry(lane, when, slot);
+    }
 
     /**
      * Cancel a pending event. Cancelling an already-executed or
@@ -177,6 +197,13 @@ class EventQueue
         return (static_cast<EventId>(gen) << 32) | slot;
     }
 
+    /**
+     * Check a schedule request (not in the past, not null, known
+     * lane) and take a free slab slot for it.
+     */
+    std::uint32_t claimSlot(LaneId lane, Tick when, bool nullCallback);
+    /** Mark @p slot pending and push its heap entry. */
+    EventId pushEntry(LaneId lane, Tick when, std::uint32_t slot);
     void releaseSlot(std::uint32_t slot);
     /**
      * Drop tombstoned entries sitting at the heap head.

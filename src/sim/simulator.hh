@@ -2,6 +2,8 @@
  * @file
  * Simulator facade: owns the event queue, the root RNG, and the set
  * of named components; provides the scheduling API every model uses.
+ * Every schedule call forwards its callable to EventQueue::scheduleOn,
+ * which builds it once, in place in the event's slab slot.
  */
 
 #ifndef BMS_SIM_SIMULATOR_HH
@@ -42,31 +44,35 @@ class Simulator
     StatsRegistry &stats() { return _stats; }
 
     /** Schedule @p cb at absolute tick @p when. */
+    template <typename F>
     EventId
-    scheduleAt(Tick when, EventQueue::Callback cb)
+    scheduleAt(Tick when, F &&cb)
     {
-        return _queue.schedule(when, std::move(cb));
+        return _queue.schedule(when, std::forward<F>(cb));
     }
 
     /** Schedule @p cb after @p delay ticks. */
+    template <typename F>
     EventId
-    scheduleAfter(Tick delay, EventQueue::Callback cb)
+    scheduleAfter(Tick delay, F &&cb)
     {
-        return _queue.scheduleAfter(delay, std::move(cb));
+        return _queue.scheduleAfter(delay, std::forward<F>(cb));
     }
 
     /** Schedule @p cb at absolute tick @p when on event lane @p lane. */
+    template <typename F>
     EventId
-    scheduleOnAt(LaneId lane, Tick when, EventQueue::Callback cb)
+    scheduleOnAt(LaneId lane, Tick when, F &&cb)
     {
-        return _queue.scheduleOn(lane, when, std::move(cb));
+        return _queue.scheduleOn(lane, when, std::forward<F>(cb));
     }
 
     /** Schedule @p cb after @p delay ticks on event lane @p lane. */
+    template <typename F>
     EventId
-    scheduleOnAfter(LaneId lane, Tick delay, EventQueue::Callback cb)
+    scheduleOnAfter(LaneId lane, Tick delay, F &&cb)
     {
-        return _queue.scheduleOn(lane, now() + delay, std::move(cb));
+        return _queue.scheduleOn(lane, now() + delay, std::forward<F>(cb));
     }
 
     /**
@@ -138,10 +144,11 @@ class SimObject
     LaneId eventLane() const { return _lane; }
 
   protected:
+    template <typename F>
     EventId
-    schedule(Tick delay, EventQueue::Callback cb)
+    schedule(Tick delay, F &&cb)
     {
-        return _sim.scheduleOnAfter(_lane, delay, std::move(cb));
+        return _sim.scheduleOnAfter(_lane, delay, std::forward<F>(cb));
     }
 
     /** Register a statistic under "<component name>.<stat>". */

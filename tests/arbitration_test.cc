@@ -3,10 +3,14 @@
  * Multi-SQ fetch arbitration tests: WRR weights are honored within
  * tolerance, plain RR is starvation-free under asymmetric load, and
  * doorbell batching / fetch coalescing never reorder SQEs within one
- * submission queue.
+ * submission queue. The arbiter visits only created SQs; a pinned
+ * fetch order over sparse, out-of-order SQ ids checks that it serves
+ * them exactly as a walk over every SQ slot does.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "nvme/controller.hh"
 #include "tests/test_util.hh"
@@ -104,6 +108,24 @@ class ArbHarness
         adminSubmit(csq);
         ASSERT_TRUE(ctrl->sqSnapshot(qid).valid);
         EXPECT_EQ(ctrl->sqSnapshot(qid).prio, prio & 0x3);
+    }
+
+    /**
+     * Submit a DeleteIoSq for @p qid without running the simulation;
+     * it takes effect when the admin fetch lands one tick later.
+     */
+    void
+    deleteSqNow(std::uint16_t qid)
+    {
+        Sqe dsq;
+        dsq.opcode = static_cast<std::uint8_t>(AdminOpcode::DeleteIoSq);
+        dsq.cid = _nextAdminCid++;
+        dsq.cdw10 = qid;
+        std::uint8_t raw[64];
+        nvme::toBytes(dsq, raw);
+        up.memory.write(0x10000 + _adminTail * 64ull, 64, raw);
+        _adminTail = static_cast<std::uint16_t>((_adminTail + 1) % 32);
+        ctrl->regWrite(nvme::sqDoorbellOffset(0), _adminTail);
     }
 
     /** Append @p n read SQEs to @p qid's ring without ringing. */
@@ -317,4 +339,104 @@ TEST(Arbitration, FetchCoalescingHandlesRingWrap)
     std::uint16_t next = 0;
     for (const auto &[sqid, cid] : h.ctrl->order)
         EXPECT_EQ(cid, next++);
+}
+
+namespace {
+
+/**
+ * Create IO SQs 9, 2 and 5 (in that order) out of 64 slots, feed them
+ * uneven clumps for a while (one deep enough to spend a whole pass's
+ * credits), delete SQ 5 mid-run while it still has
+ * backlog, keep feeding 9 and 2, and return the dispatch order as a
+ * run-length string of sqids ("9x4 2x1 ...") followed by the number
+ * of arbitration passes. WRR classes: 9 and 5 high, 2 low; RR
+ * ignores them.
+ */
+std::string
+sparseFetchOrder(nvme::ArbitrationMode mode)
+{
+    nvme::ControllerModel::Config cfg;
+    cfg.arb = mode;
+    cfg.arbBurst = 4;
+    cfg.doorbellBatchDelay = sim::nanoseconds(100);
+    ArbHarness h(cfg);
+    h.createQueue(9, nvme::kQPrioHigh);
+    h.createQueue(2, nvme::kQPrioLow);
+    h.createQueue(5, nvme::kQPrioHigh);
+    EXPECT_EQ(h.ctrl->ioSqCount(), 3u);
+    const std::size_t created = h.ctrl->order.size();
+
+    std::size_t atDelete = 0;
+    for (int step = 0; step < 16; ++step) {
+        h.fill(9, 3 + step % 4);
+        h.ring(9);
+        // A deep first clump on SQ 2 outlasts RR's 64 credits a pass.
+        h.fill(2, step == 0 ? 300 : 1 + step % 3);
+        h.ring(2);
+        if (step < 8) {
+            h.fill(5, 9 - step);
+            h.ring(5);
+        }
+        if (step == 7) {
+            EXPECT_GT(h.ctrl->sqSnapshot(5).backlog, 0u);
+            h.deleteSqNow(5);
+            atDelete = h.ctrl->order.size();
+        }
+        h.sim.runFor(sim::nanoseconds(130));
+    }
+    h.sim.runFor(sim::microseconds(20));
+    EXPECT_EQ(h.ctrl->ioSqCount(), 2u);
+    EXPECT_FALSE(h.ctrl->sqSnapshot(5).valid);
+    EXPECT_EQ(h.ctrl->sqSnapshot(9).backlog, 0u);
+    EXPECT_EQ(h.ctrl->sqSnapshot(2).backlog, 0u);
+
+    std::string rle;
+    std::uint16_t runSq = 0;
+    int runLen = 0;
+    auto flush = [&] {
+        if (runLen == 0)
+            return;
+        if (!rle.empty())
+            rle += ' ';
+        rle += std::to_string(runSq) + "x" + std::to_string(runLen);
+    };
+    for (std::size_t i = created; i < h.ctrl->order.size(); ++i) {
+        std::uint16_t sq = h.ctrl->order[i].first;
+        // The delete lands before the next pass, so SQ 5's backlog is
+        // dropped and it is never fetched from again.
+        if (i >= atDelete) {
+            EXPECT_NE(sq, 5) << "dispatch " << i << " from deleted SQ 5";
+        }
+        if (sq != runSq) {
+            flush();
+            runSq = sq;
+            runLen = 0;
+        }
+        ++runLen;
+    }
+    flush();
+    // The number of passes pins where each pass stopped.
+    return rle + " | rounds " + std::to_string(h.ctrl->arbRounds());
+}
+
+} // namespace
+
+// The fetch orders below were recorded from the arbiter that walked
+// every one of the 64 SQ slots on each pass.
+TEST(Arbitration, SparseSqIdsKeepTheFullScanOrderRoundRobin)
+{
+    EXPECT_EQ(sparseFetchOrder(nvme::ArbitrationMode::RoundRobin),
+              "2x4 5x4 9x3 2x4 5x4 2x4 5x1 2x228 5x4 9x4 2x4 5x4 2x58 "
+              "5x4 9x4 2x3 5x3 9x1 2x1 5x4 9x4 5x2 9x2 2x2 5x4 9x3 5x1 "
+              "9x4 2x3 5x4 9x4 2x1 5x3 9x1 2x2 9x6 2x3 9x3 2x1 9x4 2x2 "
+              "9x5 2x3 9x6 2x1 9x3 2x2 9x4 2x3 9x5 2x1 9x6 | rounds 16");
+}
+
+TEST(Arbitration, SparseSqIdsKeepTheFullScanOrderWeighted)
+{
+    EXPECT_EQ(sparseFetchOrder(nvme::ArbitrationMode::WeightedRoundRobin),
+              "5x4 9x3 5x5 2x4 9x4 5x8 2x4 9x4 5x4 9x1 5x3 2x4 9x4 5x4 "
+              "9x2 5x2 2x8 9x3 5x5 2x4 9x4 5x4 2x4 9x4 5x3 9x1 2x8 9x6 "
+              "2x4 9x3 2x4 9x4 2x8 9x5 2x4 9x6 2x4 9x3 2x4 9x4 2x8 9x5 "
+              "2x4 9x6 2x254 | rounds 83");
 }

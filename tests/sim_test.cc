@@ -1,13 +1,18 @@
 /**
  * @file
  * Unit tests of the discrete-event kernel: event ordering,
- * cancellation, time limits, RNG determinism, histogram quantiles.
+ * cancellation, time limits, the slab-resident event callback, RNG
+ * determinism, histogram quantiles.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/check.hh"
@@ -129,6 +134,124 @@ TEST(EventQueue, SchedulingIntoThePastPanics)
     EXPECT_EQ(q.now(), 10u);
     EXPECT_PANIC(q.schedule(5, [] {}));
     EXPECT_PANIC(q.schedule(10, EventQueue::Callback{}));
+}
+
+namespace {
+
+/** Capture that counts how often a live (not moved-from) copy dies. */
+struct DeathCounter
+{
+    int *deaths;
+
+    explicit DeathCounter(int *d) : deaths(d) {}
+    DeathCounter(const DeathCounter &) = default;
+    DeathCounter(DeathCounter &&o) noexcept
+        : deaths(std::exchange(o.deaths, nullptr))
+    {}
+    DeathCounter &operator=(const DeathCounter &) = delete;
+    ~DeathCounter()
+    {
+        if (deaths)
+            ++*deaths;
+    }
+};
+
+/** Padding that pushes a closure past EventCallback's inline buffer. */
+using BigPad = std::array<char, EventCallback::kInlineSize + 8>;
+
+} // namespace
+
+TEST(EventCallback, MoveOnlyCaptureSchedulesAndRuns)
+{
+    EventQueue q;
+    int seen = 0;
+    auto value = std::make_unique<int>(7);
+    q.schedule(5, [&seen, v = std::move(value)] { seen = *v; });
+    q.runAll();
+    EXPECT_EQ(seen, 7);
+}
+
+TEST(EventCallback, OversizedClosureRunsThroughTheHeapFallback)
+{
+    BigPad pad{};
+    pad.back() = 'z';
+    std::vector<char> seen;
+    auto big = [&seen, pad] { seen.push_back(pad.front() + pad.back()); };
+    auto small = [&seen] { seen.push_back('s'); };
+    static_assert(!EventCallback::fitsInline<decltype(big)>());
+    static_assert(EventCallback::fitsInline<decltype(small)>());
+
+    EventQueue q;
+    q.schedule(2, big);
+    q.schedule(1, small);
+    q.schedule(3, std::move(big));
+    q.runAll();
+    EXPECT_EQ(seen, (std::vector<char>{'s', 'z', 'z'}));
+    q.checkInvariants();
+}
+
+TEST(EventCallback, CapturesDieExactlyOnceWhetherRunOrCancelled)
+{
+    for (bool heap : {false, true}) {
+        SCOPED_TRACE(heap ? "heap fallback" : "inline");
+        int ranDeaths = 0, cancelledDeaths = 0, runs = 0;
+        EventQueue q;
+        auto make = [&](int *deaths) -> EventCallback {
+            DeathCounter c(deaths);
+            if (heap)
+                return [&runs, c = std::move(c), pad = BigPad{}] {
+                    (void)pad;
+                    ++runs;
+                };
+            return [&runs, c = std::move(c)] { ++runs; };
+        };
+        q.schedule(10, make(&ranDeaths));
+        EventId doomed = q.schedule(10, make(&cancelledDeaths));
+        EXPECT_EQ(ranDeaths + cancelledDeaths, 0);
+
+        q.cancel(doomed); // captures die at once, not at the purge
+        EXPECT_EQ(cancelledDeaths, 1);
+        q.runAll();
+        EXPECT_EQ(runs, 1);
+        EXPECT_EQ(ranDeaths, 1);
+        EXPECT_EQ(cancelledDeaths, 1);
+        q.checkInvariants();
+    }
+}
+
+TEST(EventCallback, NullCallablesPanicLikeAnEmptyCallback)
+{
+    EventQueue q;
+    EXPECT_PANIC(q.schedule(10, EventQueue::Callback{}));
+    EXPECT_PANIC(q.schedule(10, std::function<void()>{}));
+    void (*none)() = nullptr;
+    EXPECT_PANIC(q.schedule(10, none));
+    // A rejected schedule takes no slot.
+    q.checkInvariants();
+    EXPECT_TRUE(q.empty());
+    int ran = 0;
+    q.schedule(10, std::function<void()>([&ran] { ++ran; }));
+    q.runAll();
+    EXPECT_EQ(ran, 1);
+}
+
+TEST(EventCallback, ThrowingCaptureCopyLeavesTheQueueConsistent)
+{
+    struct ThrowsOnCopy
+    {
+        ThrowsOnCopy() = default;
+        ThrowsOnCopy(const ThrowsOnCopy &) { throw std::runtime_error("copy"); }
+        void operator()() const {}
+    };
+    EventQueue q;
+    ThrowsOnCopy f;
+    EXPECT_THROW(q.schedule(10, f), std::runtime_error);
+    q.checkInvariants();
+    EXPECT_TRUE(q.empty());
+    int ran = 0;
+    q.schedule(10, [&ran] { ++ran; }); // reuses the returned slot
+    q.runAll();
+    EXPECT_EQ(ran, 1);
 }
 
 TEST(Check, PanicReportCarriesContext)
