@@ -11,6 +11,9 @@
  *
  * `--floor=F` (default 0.50) sets the acceptance floor: tenant IOPS
  * during rebalance must stay above F * baseline for every budget.
+ * `--quick` measures two budgets (200 MB/s and unpaced, the one that
+ * costs the tenant most) over shorter windows, under the same floor,
+ * for CI.
  */
 
 #include <algorithm>
@@ -51,8 +54,15 @@ tenantSpec(const char *name, sim::Tick run_time)
     return spec;
 }
 
+/** Measurement windows of one budget's run. */
+struct Windows
+{
+    sim::Tick idle = sim::seconds(3);
+    sim::Tick rebalance = sim::seconds(6);
+};
+
 BudgetResult
-runBudget(double budget_mbps)
+runBudget(double budget_mbps, const Windows &win)
 {
     BudgetResult out;
     out.budgetMbps = budget_mbps;
@@ -67,7 +77,7 @@ runBudget(double budget_mbps)
 
     // Phase 1 — idle baseline, no migration traffic.
     out.idle = harness::runFio(bed.sim(), disk,
-                               tenantSpec("idle", sim::seconds(3)));
+                               tenantSpec("idle", win.idle));
 
     // Phase 2 — continuous rebalance: as soon as one chunk lands,
     // the next one starts moving (cycling the namespace's 4 chunks,
@@ -76,12 +86,15 @@ runBudget(double budget_mbps)
     mig.setBudget(budget_mbps);
     auto stop = std::make_shared<bool>(false);
     auto next = std::make_shared<std::function<void(std::uint32_t)>>();
-    *next = [&mig, stop, next](std::uint32_t chunk) {
+    // The loop holds itself weakly (a strong self-capture would leak
+    // it); only a migration in flight keeps it alive.
+    *next = [&mig, stop, self = std::weak_ptr(next)](std::uint32_t chunk) {
         if (*stop)
             return;
         mig.migrate(0, 1, chunk, core::MigrationManager::kAutoSlot,
-                    [stop, next, chunk](core::MigrationManager::Report) {
-                        (*next)((chunk + 1) % 4);
+                    [stop, loop = self.lock(),
+                     chunk](core::MigrationManager::Report) {
+                        (*loop)((chunk + 1) % 4);
                     });
     };
     std::uint64_t bytes0 = mig.bytesCopied();
@@ -89,7 +102,7 @@ runBudget(double budget_mbps)
     sim::Tick t0 = bed.sim().now();
     (*next)(0);
     out.busy = harness::runFio(bed.sim(), disk,
-                               tenantSpec("rebalance", sim::seconds(6)));
+                               tenantSpec("rebalance", win.rebalance));
     sim::Tick window = bed.sim().now() - t0;
     *stop = true;
 
@@ -117,13 +130,22 @@ int
 main(int argc, char **argv)
 {
     double floor = 0.50;
+    bool quick = false;
     harness::Flags("ext_chunk_migration")
         .number("--floor", floor)
+        .flag("--quick", quick)
         .parse(argc, argv);
 
+    Windows win;
+    std::vector<double> budgets = {50.0, 200.0, 800.0, 0.0};
+    if (quick) {
+        win.idle = sim::milliseconds(500);
+        win.rebalance = sim::seconds(1);
+        budgets = {200.0, 0.0};
+    }
     std::vector<BudgetResult> results;
-    for (double budget : {50.0, 200.0, 800.0, 0.0})
-        results.push_back(runBudget(budget));
+    for (double budget : budgets)
+        results.push_back(runBudget(budget, win));
 
     harness::Table t({"copy budget (MB/s)", "tenant IOPS idle",
                       "tenant IOPS rebal", "retained", "p99 idle (us)",
@@ -145,8 +167,12 @@ main(int argc, char **argv)
                   harness::Table::fmt(r.migrationMbps, 1),
                   harness::Table::fmtInt(r.migrations)});
     }
-    t.print("Ext — tenant throughput/latency during live chunk "
-            "rebalancing (4K randread, namespace dedicated to slot 0)");
+    t.print(quick ? "Ext — tenant throughput/latency during live chunk "
+                    "rebalancing (4K randread, namespace dedicated to "
+                    "slot 0; quick)"
+                  : "Ext — tenant throughput/latency during live chunk "
+                    "rebalancing (4K randread, namespace dedicated to "
+                    "slot 0)");
 
     harness::Gate gate =
         harness::Gate::floor("retainedThroughput", worstRetained, floor, 3);

@@ -15,7 +15,8 @@
 #    image ships gcc only). Reuses build/compile_commands.json when
 #    the default build tree already exported one.
 # 3. A fresh ASan+UBSan build (-DBMS_SANITIZE="address;undefined")
-#    running the full ctest suite plus the pinned fuzz seeds.
+#    running the full ctest suite, the pinned fuzz seeds and the
+#    quick-mode extension benches.
 # 4. A -DBMS_LANE_AUDIT=ON build replaying the pinned fuzz seeds and
 #    the quick full-card sweep with the same-tick lane-conflict
 #    sanitizer armed, merging the per-run censuses into
@@ -143,6 +144,12 @@ run_san() {
     echo "== ASan+UBSan ext_remote_storage (quick) =="
     ./build-asan/bench/ext_remote_storage --quick \
         --json=build-asan/BENCH_remote_tier.json || fail=1
+    # Quick-mode live-migration bench: the tenant keeps at least the
+    # default --floor share of its idle IOPS while its chunks move,
+    # through the gate's mirror and hold paths (simulated time, so
+    # ASan-proof).
+    echo "== ASan+UBSan ext_chunk_migration (quick) =="
+    ./build-asan/bench/ext_chunk_migration --quick || fail=1
     # Quick-mode fleet smoke: an 8-card rolling wave plus drill with
     # the makespan gate on simulated time (ASan-proof) and a floor on
     # events/sec set an order of magnitude under native speed.

@@ -302,12 +302,13 @@ HostAdaptor::dmaRead(std::uint64_t addr, std::uint32_t len,
         });
         return;
     }
-    routeFromHost(addr, len, out != nullptr,
-                  [out, len, done = std::move(done)](sim::Payload data) {
-                      if (out)
-                          data.read(0, len, out);
-                      done();
-                  });
+    const std::uint32_t r = _routes.acquire();
+    Route &route = _routes[r];
+    route.len = len;
+    route.functional = out != nullptr;
+    route.out = out;
+    route.done = std::move(done);
+    routeFromHost(addr, r);
 }
 
 void
@@ -343,7 +344,13 @@ HostAdaptor::dmaReadPayload(std::uint64_t addr, std::uint32_t len,
         });
         return;
     }
-    routeFromHost(addr, len, functional, std::move(done));
+    const std::uint32_t r = _routes.acquire();
+    Route &route = _routes[r];
+    route.len = len;
+    route.functional = functional;
+    route.out = nullptr;
+    route.doneData = std::move(done);
+    routeFromHost(addr, r);
 }
 
 void
@@ -391,78 +398,92 @@ void
 HostAdaptor::routeToHost(std::uint64_t addr, std::uint32_t len,
                          sim::Payload data, std::function<void()> done)
 {
-    std::uint64_t orig = routeCheck(addr, len);
+    const std::uint32_t r = _routes.acquire();
+    Route &route = _routes[r];
+    route.orig = routeCheck(addr, len);
+    route.len = len;
+    route.data = std::move(data);
+    route.done = std::move(done);
+    auto forward = [this, r] {
+        Route &x = _routes[r];
+        sim::Payload payload = std::move(x.data);
+        x.data = sim::Payload{};
+        _hostUp->dmaWritePayload(x.orig, x.len, std::move(payload),
+                                 [this, r] { routeLegDone(r); });
+    };
     if (_cfg.zeroCopy) {
         // Cut-through: the back-end link and the host link stream in
         // parallel; completion when both have carried the payload.
-        sim::Tick back_fin = reserveUp(now(), len);
-        auto barrier = std::make_shared<int>(2);
-        auto arm = [barrier, done = std::move(done)] {
-            if (--*barrier == 0)
-                done();
-        };
-        sim().scheduleAt(back_fin, arm);
-        schedule(_cfg.dmaRouteDelay, [this, orig, len,
-                                      data = std::move(data),
-                                      arm]() mutable {
-            _hostUp->dmaWritePayload(orig, len, std::move(data), arm);
-        });
+        route.legs = 2;
+        sim().scheduleAt(reserveUp(now(), len),
+                         [this, r] { routeLegDone(r); });
+        schedule(_cfg.dmaRouteDelay, forward);
         return;
     }
     // Store-and-forward ablation: SSD → back link → engine DRAM →
     // host link.
-    sim::Tick staged = dramStage(reserveUp(now(), len), len);
-    sim().scheduleAt(staged, [this, orig, len, data = std::move(data),
-                              done = std::move(done)]() mutable {
-        _hostUp->dmaWritePayload(orig, len, std::move(data),
-                                 std::move(done));
-    });
+    route.legs = 1;
+    sim().scheduleAt(dramStage(reserveUp(now(), len), len), forward);
 }
 
 void
-HostAdaptor::routeFromHost(std::uint64_t addr, std::uint32_t len,
-                           bool functional,
-                           std::function<void(sim::Payload)> done)
+HostAdaptor::routeFromHost(std::uint64_t addr, std::uint32_t r)
 {
-    std::uint64_t orig = routeCheck(addr, len);
+    Route &route = _routes[r];
+    route.orig = routeCheck(addr, route.len);
+    const std::uint32_t len = route.len;
     if (_cfg.zeroCopy) {
         // Cut-through: the payload arrives with the host leg and is
         // handed over once the back-end leg has carried it too.
-        struct Join
-        {
-            int legs = 2;
-            sim::Payload data;
-            std::function<void(sim::Payload)> done;
-        };
-        sim::Tick back_fin = reserveDown(now() + _cfg.dmaRouteDelay, len);
-        auto join = std::make_shared<Join>();
-        join->done = std::move(done);
-        auto arm = [join] {
-            if (--join->legs == 0)
-                join->done(std::move(join->data));
-        };
-        sim().scheduleAt(back_fin, arm);
-        schedule(_cfg.dmaRouteDelay, [this, orig, len, functional, join,
-                                      arm] {
-            _hostUp->dmaReadPayload(orig, len, functional,
-                                    [join, arm](sim::Payload data) {
-                                        join->data = std::move(data);
-                                        arm();
+        route.legs = 2;
+        sim().scheduleAt(reserveDown(now() + _cfg.dmaRouteDelay, len),
+                         [this, r] { routeLegDone(r); });
+        schedule(_cfg.dmaRouteDelay, [this, r] {
+            const Route &x = _routes[r];
+            _hostUp->dmaReadPayload(x.orig, x.len, x.functional,
+                                    [this, r](sim::Payload data) {
+                                        _routes[r].data = std::move(data);
+                                        routeLegDone(r);
                                     });
         });
         return;
     }
     // Store-and-forward ablation: host link → engine DRAM → back link
     // → SSD.
+    route.legs = 1;
     _hostUp->dmaReadPayload(
-        orig, len, functional,
-        [this, len, done = std::move(done)](sim::Payload data) mutable {
-            sim::Tick fin = reserveDown(dramStage(now(), len), len);
-            sim().scheduleAt(fin, [data = std::move(data),
-                                   done = std::move(done)]() mutable {
-                done(std::move(data));
-            });
+        route.orig, len, route.functional,
+        [this, r](sim::Payload data) {
+            Route &x = _routes[r];
+            x.data = std::move(data);
+            sim::Tick fin = reserveDown(dramStage(now(), x.len), x.len);
+            sim().scheduleAt(fin, [this, r] { routeLegDone(r); });
         });
+}
+
+void
+HostAdaptor::routeLegDone(std::uint32_t r)
+{
+    Route &x = _routes[r];
+    if (--x.legs != 0)
+        return;
+    // Free the slot before the completion runs: it may route again.
+    std::uint8_t *out = x.out;
+    const std::uint32_t len = x.len;
+    sim::Payload data = std::move(x.data);
+    x.data = sim::Payload{};
+    auto done = std::move(x.done);
+    auto done_data = std::move(x.doneData);
+    x.done = nullptr;
+    x.doneData = nullptr;
+    _routes.release(r);
+    if (done_data) {
+        done_data(std::move(data));
+        return;
+    }
+    if (out)
+        data.read(0, len, out);
+    done();
 }
 
 } // namespace bms::core

@@ -29,6 +29,7 @@
 #include "pcie/device.hh"
 #include "pcie/link.hh"
 #include "sim/simulator.hh"
+#include "sim/slot_pool.hh"
 
 namespace bms::core {
 
@@ -123,6 +124,24 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
         std::deque<std::pair<nvme::Sqe, CqeHandler>> waitq;
     };
 
+    /**
+     * One SSD-initiated transfer routed to or from the host, from the
+     * router's entry until its completion fires. Exactly one of the
+     * completions is set: `done` for writes and byte reads into
+     * `out`, `doneData` for payload reads.
+     */
+    struct Route
+    {
+        std::uint64_t orig = 0; ///< host address (function id stripped)
+        std::uint32_t len = 0;
+        bool functional = false;
+        int legs = 0; ///< transfer legs still to land
+        std::uint8_t *out = nullptr;
+        sim::Payload data;
+        std::function<void()> done;
+        std::function<void(sim::Payload)> doneData;
+    };
+
     void ssdMmio(std::uint64_t offset, std::uint64_t value);
     void push(Ring &ring, std::uint16_t qid, nvme::Sqe sqe, CqeHandler done);
     void scanCq(Ring &ring, std::uint16_t qid);
@@ -145,9 +164,11 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
      *  bytes bound for the host ride the same path as payloads. */
     void routeToHost(std::uint64_t addr, std::uint32_t len,
                      sim::Payload data, std::function<void()> done);
-    void routeFromHost(std::uint64_t addr, std::uint32_t len,
-                       bool functional,
-                       std::function<void(sim::Payload)> done);
+    /** Start the host read of route slot @p r, whose length and
+     *  completion are already set. */
+    void routeFromHost(std::uint64_t addr, std::uint32_t r);
+    /** One leg of route @p r landed; the last one completes it. */
+    void routeLegDone(std::uint32_t r);
     void checkDrained();
 
     std::uint8_t _slot;
@@ -168,6 +189,8 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
     // adaptor the same busy-until cursor.
     sim::Tick _dramBusyLocal = 0;
     sim::Tick *_dramBusy = &_dramBusyLocal;
+
+    sim::SlotPool<Route> _routes;
 
     std::uint32_t _inflight = 0;
     std::vector<std::function<void()>> _drainWaiters;

@@ -47,16 +47,13 @@ MigrationGate::onSrcChunk(const PhysExtent &e,
            e.physLba / chunk_blocks == _srcChunk;
 }
 
-std::vector<std::uint32_t>
+MigrationGate::SegRange
 MigrationGate::touchedSegs(const PhysExtent &e) const
 {
     std::uint64_t off = e.physLba - std::uint64_t(_srcChunk) * _chunkBlocks;
     auto s0 = static_cast<std::uint32_t>(off / _segBlocks);
     auto s1 = static_cast<std::uint32_t>((off + e.blocks - 1) / _segBlocks);
-    std::vector<std::uint32_t> out;
-    for (std::uint32_t s = s0; s <= s1 && s < _numSegs; ++s)
-        out.push_back(s);
-    return out;
+    return SegRange{s0, std::max(s0, std::min(s1 + 1, _numSegs))};
 }
 
 bool
@@ -65,54 +62,62 @@ MigrationGate::touchesFenced(const std::vector<PhysExtent> &extents,
 {
     if (_fencedSeg < 0)
         return false;
+    const auto fenced = static_cast<std::uint32_t>(_fencedSeg);
     for (const PhysExtent &e : extents) {
         if (!onSrcChunk(e, chunk_blocks))
             continue;
-        for (std::uint32_t s : touchedSegs(e))
-            if (s == static_cast<std::uint32_t>(_fencedSeg))
-                return true;
+        SegRange r = touchedSegs(e);
+        if (fenced >= r.first && fenced < r.end)
+            return true;
     }
     return false;
 }
 
 void
-MigrationGate::admit(bool is_write, std::vector<PhysExtent> extents,
+MigrationGate::admit(Admission &adm, bool is_write,
                      std::uint64_t chunk_blocks, Cont cont)
 {
-    if (_active && is_write && touchesFenced(extents, chunk_blocks)) {
+    BMS_ASSERT(!adm.linked, "admitting a command that is in flight");
+    adm.isWrite = is_write;
+    adm.chunkBlocks = chunk_blocks;
+    if (_active && is_write && touchesFenced(adm.extents, chunk_blocks)) {
         ++_heldTotal;
-        _held.push_back(Held{is_write, std::move(extents), chunk_blocks,
-                             std::move(cont)});
+        _held.push_back(Held{&adm, std::move(cont)});
         return;
     }
-    admitNow(is_write, std::move(extents), chunk_blocks, std::move(cont));
+    admitNow(adm, std::move(cont));
 }
 
 void
-MigrationGate::admitNow(bool is_write, std::vector<PhysExtent> extents,
-                        std::uint64_t chunk_blocks, Cont cont)
+MigrationGate::admitNow(Admission &adm, Cont cont)
 {
     ++_admitted;
-    std::uint64_t token = _nextToken++;
-    Rec rec;
-    rec.isWrite = is_write;
-    rec.extents = extents;
+    const bool is_write = adm.isWrite;
+    const std::uint64_t chunk_blocks = adm.chunkBlocks;
+    const std::vector<PhysExtent> &extents = adm.extents;
+    std::vector<PhysExtent> &mirrors = adm.mirrors;
+    adm.epoch = 0;
+    adm.segTracked = false;
+    adm.mirrored = false;
+    adm.segs.clear();
+    adm.chunkKeys.clear();
+    mirrors.clear();
 
-    std::vector<PhysExtent> mirrors;
     if (_active && is_write) {
-        rec.epoch = _epoch;
+        adm.epoch = _epoch;
         bool any_copied = false;
         for (const PhysExtent &e : extents) {
             if (!onSrcChunk(e, chunk_blocks))
                 continue;
-            for (std::uint32_t s : touchedSegs(e)) {
-                rec.segs.push_back(s);
+            SegRange r = touchedSegs(e);
+            for (std::uint32_t s = r.first; s < r.end; ++s) {
+                adm.segs.push_back(s);
                 ++_segWrites[s];
                 if (_copied[s])
                     any_copied = true;
             }
         }
-        rec.segTracked = !rec.segs.empty();
+        adm.segTracked = !adm.segs.empty();
         if (any_copied) {
             // Mirror every part of the write that lands on the
             // migrating chunk; re-copying an uncopied segment later
@@ -127,8 +132,8 @@ MigrationGate::admitNow(bool is_write, std::vector<PhysExtent> extents,
                     std::uint64_t(_dstChunk) * _chunkBlocks + off,
                     e.byteOffset, e.blocks});
             }
-            rec.mirrored = !mirrors.empty();
-            if (rec.mirrored)
+            adm.mirrored = !mirrors.empty();
+            if (adm.mirrored)
                 ++_mirrored;
         }
     }
@@ -176,47 +181,55 @@ MigrationGate::admitNow(bool is_write, std::vector<PhysExtent> extents,
 
     for (const PhysExtent &e : extents) {
         std::uint32_t key = chunkKey(e.ssdId, e.physLba / chunk_blocks);
-        rec.chunkKeys.push_back(key);
+        adm.chunkKeys.push_back(key);
         ++_chunkInflight[key];
     }
     for (const PhysExtent &m : mirrors) {
         std::uint32_t key = chunkKey(m.ssdId, m.physLba / chunk_blocks);
-        rec.chunkKeys.push_back(key);
+        adm.chunkKeys.push_back(key);
         ++_chunkInflight[key];
     }
 
-    _recs.emplace(token, std::move(rec));
-    cont(token, std::move(extents), std::move(mirrors));
+    adm.linked = true;
+    adm.prev = nullptr;
+    adm.next = _inflight;
+    if (_inflight)
+        _inflight->prev = &adm;
+    _inflight = &adm;
+    cont();
 }
 
 void
-MigrationGate::complete(std::uint64_t token, bool mirror_ok)
+MigrationGate::complete(Admission &adm, bool mirror_ok)
 {
-    auto it = _recs.find(token);
-    BMS_ASSERT(it != _recs.end(),
-               "completion for unknown gate token ", token);
-    Rec rec = std::move(it->second);
-    _recs.erase(it);
+    BMS_ASSERT(adm.linked, "completion for a command the gate never "
+                           "admitted");
+    adm.linked = false;
+    if (adm.prev)
+        adm.prev->next = adm.next;
+    else
+        _inflight = adm.next;
+    if (adm.next)
+        adm.next->prev = adm.prev;
+    adm.prev = adm.next = nullptr;
 
-    for (std::uint32_t key : rec.chunkKeys) {
+    for (std::uint32_t key : adm.chunkKeys) {
         auto ci = _chunkInflight.find(key);
         BMS_ASSERT(ci != _chunkInflight.end() && ci->second > 0,
                    "chunk-inflight underflow for key ", key);
-        if (--ci->second == 0) {
-            _chunkInflight.erase(ci);
+        if (--ci->second == 0)
             fireIdleWaiters(key);
-        }
     }
 
-    if (_active && rec.segTracked && rec.epoch == _epoch) {
-        for (std::uint32_t s : rec.segs) {
+    if (_active && adm.segTracked && adm.epoch == _epoch) {
+        for (std::uint32_t s : adm.segs) {
             BMS_ASSERT(_segWrites[s] > 0, "segment write-count underflow");
             --_segWrites[s];
         }
-        if (rec.mirrored && !mirror_ok) {
+        if (adm.mirrored && !mirror_ok) {
             // The source leg is authoritative; bring the destination
             // back in sync by re-copying what this write touched.
-            for (std::uint32_t s : rec.segs) {
+            for (std::uint32_t s : adm.segs) {
                 if (_copied[s] && !_inDirty[s]) {
                     _copied[s] = false;
                     _inDirty[s] = true;
@@ -262,23 +275,21 @@ MigrationGate::open(std::uint8_t src_slot, std::uint8_t src_chunk,
     // Writes already in flight on the source chunk were admitted
     // before the migration existed; count them into the per-segment
     // fences so the copier waits for them like any other write.
-    // BMS_LINT_ALLOW(unordered-iter): purely additive per-record seg
-    // accounting — commutative across records, no order leaks out
-    for (auto &[token, rec] : _recs) {
-        (void)token;
-        if (!rec.isWrite || rec.segTracked)
+    for (Admission *a = _inflight; a; a = a->next) {
+        if (!a->isWrite || a->segTracked)
             continue;
-        for (const PhysExtent &e : rec.extents) {
+        for (const PhysExtent &e : a->extents) {
             if (!onSrcChunk(e, chunk_blocks))
                 continue;
-            for (std::uint32_t s : touchedSegs(e)) {
-                rec.segs.push_back(s);
+            SegRange r = touchedSegs(e);
+            for (std::uint32_t s = r.first; s < r.end; ++s) {
+                a->segs.push_back(s);
                 ++_segWrites[s];
             }
         }
-        if (!rec.segs.empty()) {
-            rec.segTracked = true;
-            rec.epoch = _epoch;
+        if (!a->segs.empty()) {
+            a->segTracked = true;
+            a->epoch = _epoch;
         }
     }
 }
@@ -354,7 +365,7 @@ MigrationGate::releaseHeld()
     while (!held.empty()) {
         Held h = std::move(held.front());
         held.pop_front();
-        admit(h.isWrite, std::move(h.extents), h.chunkBlocks,
+        admit(*h.adm, h.adm->isWrite, h.adm->chunkBlocks,
               std::move(h.cont));
     }
 }

@@ -61,33 +61,57 @@ class MigrationGate : public sim::SimObject
 {
   public:
     /**
-     * Admission result: the opaque token to complete() with, the
-     * original extents handed back, and the mirror legs (same
-     * byteOffset/blocks, destination chunk) to submit alongside.
+     * The gate's record of one front-end command. It lives in the
+     * caller's per-command context, so admitting a command allocates
+     * nothing: the caller fills `extents`, the gate fills `mirrors`
+     * (same byteOffset/blocks, destination chunk) for the caller to
+     * submit alongside, and keeps the record linked into its
+     * in-flight list until complete(). The record must stay put from
+     * admit() to complete().
      */
-    using Cont = std::function<void(std::uint64_t token,
-                                    std::vector<PhysExtent> extents,
-                                    std::vector<PhysExtent> mirrors)>;
+    class Admission
+    {
+      public:
+        std::vector<PhysExtent> extents;
+        std::vector<PhysExtent> mirrors;
+
+      private:
+        friend class MigrationGate;
+
+        bool isWrite = false;
+        std::uint64_t chunkBlocks = 0;
+        std::uint32_t epoch = 0;   ///< migration epoch at admit
+        bool segTracked = false;   ///< counted in _segWrites
+        bool mirrored = false;
+        bool linked = false;       ///< in the gate's in-flight list
+        std::vector<std::uint32_t> segs;      ///< touched src segments
+        std::vector<std::uint32_t> chunkKeys; ///< extents + mirrors
+        Admission *prev = nullptr;
+        Admission *next = nullptr;
+    };
+
+    /** Runs once the command is admitted (mirrors filled in). */
+    using Cont = std::function<void()>;
 
     MigrationGate(sim::Simulator &sim, std::string name);
 
     /** @name Data-path hooks (TargetController). */
     /// @{
     /**
-     * Admit one translated front-end command. @p cont runs
-     * immediately unless the command is a write into the fenced
-     * segment, in which case it is held until the segment's copy
-     * lands (or the migration closes).
+     * Admit one translated front-end command whose extents are in
+     * @p adm. @p cont runs immediately unless the command is a write
+     * into the fenced segment, in which case it is held until the
+     * segment's copy lands (or the migration closes).
      */
-    void admit(bool is_write, std::vector<PhysExtent> extents,
-               std::uint64_t chunk_blocks, Cont cont);
+    void admit(Admission &adm, bool is_write, std::uint64_t chunk_blocks,
+               Cont cont);
 
     /**
      * Complete a previously admitted command. @p mirror_ok is false
      * when any mirror leg failed (the touched copied segments are
      * re-queued dirty).
      */
-    void complete(std::uint64_t token, bool mirror_ok);
+    void complete(Admission &adm, bool mirror_ok);
     /// @}
 
     /** @name Migration control (MigrationManager; one at a time). */
@@ -156,23 +180,17 @@ class MigrationGate : public sim::SimObject
     /// @}
 
   private:
-    struct Rec
-    {
-        bool isWrite = false;
-        std::uint32_t epoch = 0;   ///< migration epoch at admit
-        bool segTracked = false;   ///< counted in _segWrites
-        std::vector<PhysExtent> extents;
-        std::vector<std::uint32_t> segs; ///< touched src-chunk segments
-        bool mirrored = false;
-        std::vector<std::uint32_t> chunkKeys; ///< extents + mirrors
-    };
-
     struct Held
     {
-        bool isWrite = false;
-        std::vector<PhysExtent> extents;
-        std::uint64_t chunkBlocks = 0;
+        Admission *adm = nullptr;
         Cont cont;
+    };
+
+    /** Segments [first, end) of the source chunk an extent touches. */
+    struct SegRange
+    {
+        std::uint32_t first = 0;
+        std::uint32_t end = 0;
     };
 
     static std::uint32_t
@@ -183,11 +201,10 @@ class MigrationGate : public sim::SimObject
     }
 
     bool onSrcChunk(const PhysExtent &e, std::uint64_t chunk_blocks) const;
-    std::vector<std::uint32_t> touchedSegs(const PhysExtent &e) const;
+    SegRange touchedSegs(const PhysExtent &e) const;
     bool touchesFenced(const std::vector<PhysExtent> &extents,
                        std::uint64_t chunk_blocks) const;
-    void admitNow(bool is_write, std::vector<PhysExtent> extents,
-                  std::uint64_t chunk_blocks, Cont cont);
+    void admitNow(Admission &adm, Cont cont);
     void deliverFence();
     void releaseHeld();
     void fireIdleWaiters(std::uint32_t key);
@@ -199,12 +216,14 @@ class MigrationGate : public sim::SimObject
         std::uint32_t chunk = 0;
     };
 
-    // Always-on in-flight accounting.
-    std::unordered_map<std::uint64_t, Rec> _recs;
+    // Always-on in-flight accounting: the admitted commands, newest
+    // first, and per (slot, chunk) how many of them touch it (entries
+    // stay at zero rather than being erased, so steady-state I/O
+    // allocates no map nodes).
+    Admission *_inflight = nullptr;
     /** Spilled-chunk key → local shadow (persists across migrations). */
     std::unordered_map<std::uint32_t, TierTarget> _tierMirrors;
     std::uint64_t _tierMirrored = 0;
-    std::uint64_t _nextToken = 1;
     std::unordered_map<std::uint32_t, std::uint32_t> _chunkInflight;
     std::vector<std::pair<std::uint32_t, std::function<void()>>>
         _idleWaiters;

@@ -55,6 +55,34 @@ TargetController::fail(FrontFunction &fn, const Sqe &sqe,
 }
 
 void
+TargetController::fail(std::uint32_t c, Status st)
+{
+    const Cmd &cmd = _cmds[c];
+    FrontFunction &fn = *cmd.fn;
+    const std::uint16_t sqid = cmd.sqid;
+    const std::uint16_t cid = cmd.sqe.cid;
+    _cmds.release(c);
+    ++_errors;
+    fn.complete(sqid, cid, st);
+}
+
+std::uint32_t
+TargetController::startCmd(FrontFunction &fn, const Sqe &sqe,
+                           std::uint16_t sqid, NsBinding *binding)
+{
+    const std::uint32_t c = _cmds.acquire();
+    Cmd &cmd = _cmds[c];
+    cmd.fn = &fn;
+    cmd.sqe = sqe;
+    cmd.sqid = sqid;
+    cmd.binding = binding;
+    cmd.remaining = 0;
+    cmd.worst = Status::Success;
+    cmd.mirrorOk = true;
+    return c;
+}
+
+void
 TargetController::handleIo(FrontFunction &fn, const Sqe &sqe,
                            std::uint16_t sqid)
 {
@@ -81,36 +109,45 @@ TargetController::handleIo(FrontFunction &fn, const Sqe &sqe,
         fail(fn, sqe, sqid, Status::LbaOutOfRange);
         return;
     }
+    // The tenant's PRPs become global PRPs, which keep 48 address
+    // bits: a PRP with a reserved bit set is the tenant's error and
+    // fails here, before QoS or the gate see the command.
+    const std::uint64_t prps =
+        nvme::prpPageCount(sqe.prp1, sqe.dataBytes()) > 1
+            ? sqe.prp1 | sqe.prp2
+            : sqe.prp1;
+    if (prps & ~GlobalPrp::kAddrMask) {
+        fail(fn, sqe, sqid, Status::InvalidField);
+        return;
+    }
     // Step ②: QoS threshold check; buffered commands re-enter here
     // from the command dispatcher.
+    const std::uint32_t c = startCmd(fn, sqe, sqid, binding);
     _engine.qos().submit(binding->key(), sqe.dataBytes(),
-                         [this, &fn, sqe, sqid, binding] {
-                             forward(fn, sqe, sqid, *binding);
-                         });
+                         [this, c] { forward(c); });
 }
 
 void
-TargetController::retryForward(FrontFunction &fn, const Sqe &sqe,
-                               std::uint16_t sqid)
+TargetController::retryForward(std::uint32_t c)
 {
-    NsBinding *binding = _engine.findBinding(fn.functionId(), sqe.nsid);
-    if (!binding) {
-        fail(fn, sqe, sqid, Status::InvalidNamespace);
+    Cmd &cmd = _cmds[c];
+    cmd.binding = _engine.findBinding(cmd.fn->functionId(), cmd.sqe.nsid);
+    if (!cmd.binding) {
+        fail(c, Status::InvalidNamespace);
         return;
     }
-    forward(fn, sqe, sqid, *binding);
+    forward(c);
 }
 
 std::function<void(Status)>
-TargetController::makeRetryWaiter(FrontFunction &fn, const Sqe &sqe,
-                                  std::uint16_t sqid)
+TargetController::makeRetryWaiter(std::uint32_t c)
 {
-    return [this, &fn, sqe, sqid](Status st) {
+    return [this, c](Status st) {
         if (st != Status::Success) {
-            fail(fn, sqe, sqid, st);
+            fail(c, st);
             return;
         }
-        retryForward(fn, sqe, sqid);
+        retryForward(c);
     };
 }
 
@@ -148,9 +185,11 @@ TargetController::finishChunkOp(std::uint64_t key, Status st)
 }
 
 bool
-TargetController::classifyChunks(FrontFunction &fn, const Sqe &sqe,
-                                 std::uint16_t sqid, NsBinding &binding)
+TargetController::classifyChunks(std::uint32_t c)
 {
+    const Cmd &cmd = _cmds[c];
+    const Sqe &sqe = cmd.sqe;
+    NsBinding &binding = *cmd.binding;
     const bool is_write =
         static_cast<IoOpcode>(sqe.opcode) == IoOpcode::Write;
     const LbaMapGeometry &g = binding.map.geometry();
@@ -168,7 +207,7 @@ TargetController::classifyChunks(FrontFunction &fn, const Sqe &sqe,
             // a Trim, whose scrub changes the bytes underneath.
             if (!is_write && it->second.kind != OpKind::Trim)
                 continue;
-            it->second.waiters.push_back(makeRetryWaiter(fn, sqe, sqid));
+            it->second.waiters.push_back(makeRetryWaiter(c));
             return true;
         }
         if (!is_write)
@@ -179,23 +218,22 @@ TargetController::classifyChunks(FrontFunction &fn, const Sqe &sqe,
             if (!_allocHook) {
                 // Raw-engine configuration (no backing service):
                 // keep the historical strict behaviour.
-                fail(fn, sqe, sqid, Status::LbaOutOfRange);
+                fail(c, Status::LbaOutOfRange);
                 return true;
             }
-            startAlloc(fn, sqe, sqid, binding,
-                       static_cast<std::uint32_t>(ci));
+            startAlloc(c, static_cast<std::uint32_t>(ci));
             return true;
         }
         if (binding.map.entryShared(row, col)) {
             if (!_cowHook) {
-                fail(fn, sqe, sqid, Status::NamespaceNotReady);
+                fail(c, Status::NamespaceNotReady);
                 return true;
             }
-            ChunkOp &op = openChunkOp(key, OpKind::Cow, fn.functionId(),
-                                      sqe.nsid);
-            op.waiters.push_back(makeRetryWaiter(fn, sqe, sqid));
-            startCow(key, fn.functionId(), sqe.nsid,
-                     static_cast<std::uint32_t>(ci));
+            const pcie::FunctionId fn_id = cmd.fn->functionId();
+            const std::uint32_t nsid = sqe.nsid;
+            ChunkOp &op = openChunkOp(key, OpKind::Cow, fn_id, nsid);
+            op.waiters.push_back(makeRetryWaiter(c));
+            startCow(key, fn_id, nsid, static_cast<std::uint32_t>(ci));
             return true;
         }
     }
@@ -203,20 +241,20 @@ TargetController::classifyChunks(FrontFunction &fn, const Sqe &sqe,
 }
 
 void
-TargetController::startAlloc(FrontFunction &fn, const Sqe &sqe,
-                             std::uint16_t sqid, NsBinding &binding,
-                             std::uint32_t chunk_index)
+TargetController::startAlloc(std::uint32_t c, std::uint32_t chunk_index)
 {
-    const pcie::FunctionId fn_id = fn.functionId();
-    const std::uint32_t nsid = sqe.nsid;
+    const Cmd &cmd = _cmds[c];
+    const NsBinding &binding = *cmd.binding;
+    const pcie::FunctionId fn_id = cmd.fn->functionId();
+    const std::uint32_t nsid = cmd.sqe.nsid;
     auto placement = _allocHook(fn_id, nsid, chunk_index);
     if (!placement) {
-        fail(fn, sqe, sqid, Status::CapacityExceeded);
+        fail(c, Status::CapacityExceeded);
         return;
     }
     const std::uint64_t key = heatKey(binding.key(), chunk_index);
     ChunkOp &op = openChunkOp(key, OpKind::Alloc, fn_id, nsid);
-    op.waiters.push_back(makeRetryWaiter(fn, sqe, sqid));
+    op.waiters.push_back(makeRetryWaiter(c));
     const std::uint64_t chunk_blocks = binding.map.geometry().chunkBlocks;
     const std::uint8_t slot = placement->slot;
     const std::uint8_t chunk = placement->chunk;
@@ -332,21 +370,24 @@ TargetController::zeroPhysRangeUntil(std::uint8_t slot,
 }
 
 void
-TargetController::forward(FrontFunction &fn, const Sqe &sqe,
-                          std::uint16_t sqid, NsBinding &binding)
+TargetController::forward(std::uint32_t c)
 {
     // Thin/CoW classification first: a command touching a chunk with
     // an operation in flight queues on it (and re-enters here), a
     // write to an unallocated chunk triggers allocate-on-write, a
     // write through a shared entry triggers chunk CoW.
-    if (classifyChunks(fn, sqe, sqid, binding))
+    if (classifyChunks(c))
         return;
 
     // Carve the command into chunk-contiguous extents (almost always
     // exactly one: chunks are 64 GiB and host I/O is <= 2 MiB).
+    Cmd &cmd = _cmds[c];
+    const Sqe &sqe = cmd.sqe;
+    NsBinding &binding = *cmd.binding;
     const std::uint64_t chunk_blocks = binding.map.geometry().chunkBlocks;
-    std::vector<PhysExtent> extents;
-    std::vector<ZeroRange> zeros;
+    std::vector<PhysExtent> &extents = cmd.gate.extents;
+    extents.clear();
+    cmd.zeros.clear();
     std::uint64_t lba = sqe.slba();
     std::uint64_t remaining = sqe.nlb();
     std::uint64_t byte_off = 0;
@@ -358,8 +399,8 @@ TargetController::forward(FrontFunction &fn, const Sqe &sqe,
             // In-bounds but unmapped: a thin chunk nobody ever wrote.
             // Reads zero-fill the host buffer without touching media
             // (writes never get here — classifyChunks consumed them).
-            zeros.push_back(ZeroRange{byte_off,
-                                      blocks * nvme::kBlockSize});
+            cmd.zeros.push_back(ZeroRange{byte_off,
+                                          blocks * nvme::kBlockSize});
         } else {
             extents.push_back(PhysExtent{mapping->ssdId, mapping->physLba,
                                          byte_off, blocks});
@@ -379,63 +420,127 @@ TargetController::forward(FrontFunction &fn, const Sqe &sqe,
     // may pick up mirror legs or be held while a segment copy runs.
     const bool is_write =
         static_cast<IoOpcode>(sqe.opcode) == IoOpcode::Write;
-    _engine.migrationGate().admit(
-        is_write, std::move(extents), chunk_blocks,
-        [this, &fn, sqe, sqid,
-         zeros = std::move(zeros)](std::uint64_t token,
-                                   std::vector<PhysExtent> extents,
-                                   std::vector<PhysExtent> mirrors) mutable {
-            std::uint64_t len = sqe.dataBytes();
-            if (!nvme::needsPrpList(sqe.prp1, len)) {
-                std::vector<std::uint64_t> pages;
-                pages.push_back(sqe.prp1);
-                if (nvme::prpPageCount(sqe.prp1, len) == 2)
-                    pages.push_back(sqe.prp2);
-                dispatch(fn, sqe, sqid, token, std::move(extents),
-                         std::move(mirrors), std::move(zeros),
-                         std::move(pages));
-                return;
-            }
-
-            // Step ③: fetch the host PRP list over the host link,
-            // rewrite it into global PRPs, and stage the rewritten
-            // copy in chip memory.
-            std::uint32_t entries = nvme::prpPageCount(sqe.prp1, len) - 1;
-            auto raw =
-                std::make_shared<std::vector<std::uint64_t>>(entries);
-            _engine.hostUpstream()->dmaRead(
-                sqe.prp2, static_cast<std::uint32_t>(entries * 8),
-                reinterpret_cast<std::uint8_t *>(raw->data()),
-                [this, &fn, sqe, sqid, token,
-                 extents = std::move(extents),
-                 mirrors = std::move(mirrors),
-                 zeros = std::move(zeros), raw]() mutable {
-                    std::vector<std::uint64_t> pages;
-                    pages.reserve(raw->size() + 1);
-                    pages.push_back(sqe.prp1);
-                    for (std::uint64_t e : *raw)
-                        pages.push_back(e);
-                    dispatch(fn, sqe, sqid, token, std::move(extents),
-                             std::move(mirrors), std::move(zeros),
-                             std::move(pages));
-                });
-        });
+    _engine.migrationGate().admit(cmd.gate, is_write, chunk_blocks,
+                                  [this, c] { admitted(c); });
 }
 
 void
-TargetController::dispatch(FrontFunction &fn, const Sqe &sqe,
-                           std::uint16_t sqid, std::uint64_t gate_token,
-                           std::vector<PhysExtent> extents,
-                           std::vector<PhysExtent> mirrors,
-                           std::vector<ZeroRange> zeros,
-                           std::vector<std::uint64_t> host_pages)
+TargetController::admitted(std::uint32_t c)
 {
-    BMS_ASSERT(!extents.empty() || !zeros.empty(),
+    Cmd &cmd = _cmds[c];
+    const Sqe &sqe = cmd.sqe;
+    const std::uint64_t len = sqe.dataBytes();
+    const std::uint32_t pages = nvme::prpPageCount(sqe.prp1, len);
+    cmd.pages.clear();
+    cmd.pages.push_back(sqe.prp1);
+    if (!nvme::needsPrpList(sqe.prp1, len)) {
+        if (pages == 2)
+            cmd.pages.push_back(sqe.prp2);
+        dispatch(c);
+        return;
+    }
+    // Step ③: fetch the host PRP list over the host link, rewrite it
+    // into global PRPs, and stage the rewritten copy in chip memory.
+    const std::uint32_t entries = pages - 1;
+    cmd.pages.resize(pages);
+    _engine.hostUpstream()->dmaRead(
+        sqe.prp2, static_cast<std::uint32_t>(entries * 8),
+        reinterpret_cast<std::uint8_t *>(cmd.pages.data() + 1),
+        [this, c] { listFetched(c); });
+}
+
+void
+TargetController::listFetched(std::uint32_t c)
+{
+    Cmd &cmd = _cmds[c];
+    for (std::size_t i = 1; i < cmd.pages.size(); ++i) {
+        if (cmd.pages[i] & ~GlobalPrp::kAddrMask) {
+            // A list entry no global PRP can carry: the command fails
+            // before any leg is submitted.
+            _engine.migrationGate().complete(cmd.gate, true);
+            fail(c, Status::InvalidField);
+            return;
+        }
+    }
+    dispatch(c);
+}
+
+HostAdaptor::CqeHandler
+TargetController::legHandler(std::uint32_t c, Leg leg)
+{
+    auto handler = [this, c, leg](const nvme::Cqe &cqe) {
+        Cmd &cmd = _cmds[c];
+        if (leg == Leg::Flush) {
+            // A flush's status is its last leg's: success here.
+            cmd.worst = Status::Success;
+            legDone(c);
+            return;
+        }
+        if (!cqe.ok()) {
+            // The source leg stays authoritative: a failed mirror does
+            // not fail the tenant write, it dirties the touched
+            // segments so the migration re-copies them. A strict (tier
+            // shadow) leg is the loss-recovery image: its failure both
+            // fails the tenant write and dirties the touched segments,
+            // so neither side silently diverges.
+            if (leg != Leg::Mirror)
+                cmd.worst = cqe.status();
+            if (leg != Leg::Primary)
+                cmd.mirrorOk = false;
+        }
+        legDone(c);
+    };
+    static_assert(sizeof(handler) <= 16 &&
+                      std::is_trivially_copyable_v<decltype(handler)>,
+                  "std::function keeps only small trivial closures inline");
+    return handler;
+}
+
+void
+TargetController::legDone(std::uint32_t c)
+{
+    Cmd &cmd = _cmds[c];
+    if (--cmd.remaining != 0)
+        return;
+    FrontFunction *fn = cmd.fn;
+    const std::uint16_t sqid = cmd.sqid;
+    const std::uint16_t cid = cmd.sqe.cid;
+    Status st = cmd.worst;
+    if (static_cast<IoOpcode>(cmd.sqe.opcode) == IoOpcode::Flush) {
+        // A flush completes at once when its last leg found its
+        // target not ready, else after the completion pipeline.
+        _cmds.release(c);
+        if (st != Status::Success) {
+            fn->complete(sqid, cid, st);
+            return;
+        }
+        schedule(_engine.config().completionPipelineDelay,
+                 [fn, sqid, cid] { fn->complete(sqid, cid, Status::Success); });
+        return;
+    }
+    _engine.migrationGate().complete(cmd.gate, cmd.mirrorOk);
+    _cmds.release(c);
+    // Step ⑦: post the front-end CQE after the completion pipeline.
+    if (st != Status::Success)
+        ++_errors;
+    schedule(_engine.config().completionPipelineDelay,
+             [fn, sqid, cid, st] { fn->complete(sqid, cid, st); });
+}
+
+void
+TargetController::dispatch(std::uint32_t c)
+{
+    Cmd &cmd = _cmds[c];
+    const Sqe &sqe = cmd.sqe;
+    const std::vector<PhysExtent> &extents = cmd.gate.extents;
+    const std::vector<PhysExtent> &mirrors = cmd.gate.mirrors;
+    const std::vector<std::uint64_t> &host_pages = cmd.pages;
+    BMS_ASSERT(!extents.empty() || !cmd.zeros.empty(),
                "I/O resolved to no extents");
-    const pcie::FunctionId fn_id = fn.functionId();
+    const pcie::FunctionId fn_id = cmd.fn->functionId();
     // The single-extent fast path rewrites the whole transfer's PRPs;
     // it only applies when that one extent IS the whole transfer.
-    const bool single = extents.size() == 1 && zeros.empty();
+    const bool single = extents.size() == 1 && cmd.zeros.empty();
     if (extents.size() > 1)
         ++_split;
     if (!single && !extents.empty()) {
@@ -445,10 +550,11 @@ TargetController::dispatch(FrontFunction &fn, const Sqe &sqe,
 
     // Resolve the zero-filled byte ranges into per-page DMA pieces
     // (the first host page may start mid-page).
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> zero_pieces;
+    auto &zero_pieces = cmd.zeroPieces;
+    zero_pieces.clear();
     const std::uint64_t first_bytes =
         nvme::kPageSize - sqe.prp1 % nvme::kPageSize;
-    for (const ZeroRange &z : zeros) {
+    for (const ZeroRange &z : cmd.zeros) {
         std::uint64_t b = z.byteOffset;
         std::uint64_t len = z.bytes;
         while (len > 0) {
@@ -474,50 +580,43 @@ TargetController::dispatch(FrontFunction &fn, const Sqe &sqe,
     if (!zero_pieces.empty())
         ++_zeroFill;
 
-    auto remaining = std::make_shared<std::size_t>(
-        extents.size() + mirrors.size() + zero_pieces.size());
-    auto worst = std::make_shared<Status>(Status::Success);
-    auto mirror_ok = std::make_shared<bool>(true);
-    std::uint16_t cid = sqe.cid;
-    auto finish = [this, &fn, sqid, cid, gate_token, remaining, worst,
-                   mirror_ok] {
-        if (--*remaining != 0)
-            return;
-        _engine.migrationGate().complete(gate_token, *mirror_ok);
-        // Step ⑦: post the front-end CQE after the completion
-        // pipeline.
-        Status st = *worst;
-        if (st != Status::Success)
-            ++_errors;
-        schedule(_engine.config().completionPipelineDelay,
-                 [&fn, sqid, cid, st] { fn.complete(sqid, cid, st); });
-    };
-    auto on_backend_cqe = [worst, finish](const nvme::Cqe &cqe) {
-        if (!cqe.ok())
-            *worst = cqe.status();
-        finish();
-    };
-    // The source leg stays authoritative: a failed mirror does not
-    // fail the tenant write, it dirties the touched segments so the
-    // migration re-copies them.
-    auto on_mirror_cqe = [mirror_ok, finish](const nvme::Cqe &cqe) {
-        if (!cqe.ok())
-            *mirror_ok = false;
-        finish();
-    };
-    // A strict (tier shadow) leg is the loss-recovery image: its
-    // failure both fails the tenant write and dirties the touched
-    // segments, so neither side silently diverges.
-    auto on_strict_cqe = [worst, mirror_ok, finish](const nvme::Cqe &cqe) {
-        if (!cqe.ok()) {
-            *worst = cqe.status();
-            *mirror_ok = false;
+    cmd.remaining = extents.size() + mirrors.size() + zero_pieces.size();
+    cmd.worst = Status::Success;
+    cmd.mirrorOk = true;
+
+    // Stage a rewritten PRP list of @p count pages from host page
+    // @p first in the slot's chip memory; returns its global PRP.
+    // Each leg (extent or mirror) gets at most one list of fewer
+    // entries than the command has host pages. The SSD fetches a
+    // list before it completes the command, and the slot is reused
+    // only after that, so the region never holds a list still
+    // needed. Chip memory is never freed: a slot that needs a larger
+    // region leaves its old one behind.
+    std::uint64_t list_off = 0;
+    auto stage_list = [&](std::size_t first, std::size_t count) {
+        ++_listsRewritten;
+        cmd.list.clear();
+        for (std::size_t i = 0; i < count; ++i)
+            cmd.list.push_back(
+                GlobalPrp::encode(cmd.pages[first + i], fn_id, false));
+        const std::uint64_t need = (extents.size() + mirrors.size()) *
+                                   (cmd.pages.size() - 1) * 8;
+        if (cmd.chipListBytes < need) {
+            cmd.chipList = _engine.chipMemory().alloc(need, 8);
+            cmd.chipListBytes = need;
         }
-        finish();
+        const std::uint64_t bytes = cmd.list.size() * 8;
+        BMS_ASSERT_LE(list_off + bytes, cmd.chipListBytes,
+                      "a command's PRP lists overflow its chip region");
+        const std::uint64_t chip_addr = cmd.chipList + list_off;
+        list_off += bytes;
+        _engine.chipMemory().write(
+            chip_addr, static_cast<std::uint32_t>(bytes),
+            reinterpret_cast<const std::uint8_t *>(cmd.list.data()));
+        return GlobalPrp::encode(chip_addr, fn_id, true);
     };
 
-    auto build_sqe = [this, &sqe, fn_id, single,
-                      &host_pages](const PhysExtent &ext) {
+    auto build_sqe = [&](const PhysExtent &ext) {
         Sqe bsqe = sqe;
         bsqe.nsid = 1; // back-end SSDs expose one raw namespace
         bsqe.setSlba(ext.physLba);
@@ -532,18 +631,7 @@ TargetController::dispatch(FrontFunction &fn, const Sqe &sqe,
             if (pages == 2) {
                 bsqe.prp2 = GlobalPrp::encode(sqe.prp2, fn_id, false);
             } else if (pages > 2) {
-                ++_listsRewritten;
-                std::vector<std::uint64_t> list;
-                list.reserve(host_pages.size() - 1);
-                for (std::size_t i = 1; i < host_pages.size(); ++i)
-                    list.push_back(GlobalPrp::encode(host_pages[i], fn_id,
-                                                     false));
-                std::uint64_t chip_addr = _engine.chipMemory().alloc(
-                    list.size() * 8, 8);
-                _engine.chipMemory().write(
-                    chip_addr, static_cast<std::uint32_t>(list.size() * 8),
-                    reinterpret_cast<const std::uint8_t *>(list.data()));
-                bsqe.prp2 = GlobalPrp::encode(chip_addr, fn_id, true);
+                bsqe.prp2 = stage_list(1, host_pages.size() - 1);
             } else {
                 bsqe.prp2 = 0;
             }
@@ -562,50 +650,50 @@ TargetController::dispatch(FrontFunction &fn, const Sqe &sqe,
                 bsqe.prp2 = GlobalPrp::encode(host_pages[first_page + 1],
                                               fn_id, false);
             } else {
-                ++_listsRewritten;
-                std::vector<std::uint64_t> list;
-                for (std::size_t i = 1; i < page_count; ++i)
-                    list.push_back(GlobalPrp::encode(
-                        host_pages[first_page + i], fn_id, false));
-                std::uint64_t chip_addr = _engine.chipMemory().alloc(
-                    list.size() * 8, 8);
-                _engine.chipMemory().write(
-                    chip_addr, static_cast<std::uint32_t>(list.size() * 8),
-                    reinterpret_cast<const std::uint8_t *>(list.data()));
-                bsqe.prp2 = GlobalPrp::encode(chip_addr, fn_id, true);
+                bsqe.prp2 = stage_list(first_page + 1, page_count - 1);
             }
         }
         return bsqe;
     };
 
-    for (const PhysExtent &ext : extents) {
+    // Legs are counted up front, so the last one to finish (possibly
+    // one that fails right here) completes the command; indices, not
+    // iterators, because that frees the slot.
+    const std::size_t n_extents = extents.size();
+    const std::size_t n_mirrors = mirrors.size();
+    const std::size_t n_zero = zero_pieces.size();
+    for (std::size_t i = 0; i < n_extents; ++i) {
+        const PhysExtent ext = extents[i];
         HostAdaptor &ad = _engine.adaptor(ext.ssdId);
         if (!ad.ready()) {
-            *worst = Status::NamespaceNotReady;
-            finish();
+            cmd.worst = Status::NamespaceNotReady;
+            legDone(c);
             continue;
         }
         ++_forwarded;
-        ad.submitIo(build_sqe(ext), on_backend_cqe);
+        ad.submitIo(build_sqe(ext), legHandler(c, Leg::Primary));
     }
-    for (const PhysExtent &m : mirrors) {
+    for (std::size_t i = 0; i < n_mirrors; ++i) {
+        const PhysExtent m = mirrors[i];
         HostAdaptor &ad = _engine.adaptor(m.ssdId);
         if (!ad.ready()) {
-            *mirror_ok = false;
+            cmd.mirrorOk = false;
             if (m.strict)
-                *worst = Status::NamespaceNotReady;
-            finish();
+                cmd.worst = Status::NamespaceNotReady;
+            legDone(c);
             continue;
         }
         ad.submitIo(build_sqe(m),
-                    m.strict ? HostAdaptor::CqeHandler(on_strict_cqe)
-                             : HostAdaptor::CqeHandler(on_mirror_cqe));
+                    legHandler(c, m.strict ? Leg::Strict : Leg::Mirror));
     }
     // Zero-filled ranges DMA straight from the engine's zero page to
     // the host buffer — no media access, no heat.
-    for (const auto &[addr, len] : zero_pieces)
+    for (std::size_t i = 0; i < n_zero; ++i) {
+        const auto [addr, len] = zero_pieces[i];
         _engine.hostUpstream()->dmaWritePayload(
-            addr, len, sim::Payload::zeros(len), finish);
+            addr, len, sim::Payload::zeros(len),
+            [this, c] { legDone(c); });
+    }
 }
 
 void
@@ -920,8 +1008,8 @@ TargetController::forwardFlush(FrontFunction &fn, const Sqe &sqe,
         return;
     }
 
-    auto remaining = std::make_shared<std::size_t>(targets);
-    std::uint16_t cid = sqe.cid;
+    const std::uint32_t c = startCmd(fn, sqe, sqid, &binding);
+    _cmds[c].remaining = targets;
     for (int s = 0; s < _engine.ssdSlots(); ++s) {
         if (!used[s])
             continue;
@@ -929,21 +1017,12 @@ TargetController::forwardFlush(FrontFunction &fn, const Sqe &sqe,
         bsqe.nsid = 1;
         HostAdaptor &ad = _engine.adaptor(s);
         if (!ad.ready()) {
-            if (--*remaining == 0)
-                fn.complete(sqid, cid, Status::NamespaceNotReady);
+            _cmds[c].worst = Status::NamespaceNotReady;
+            legDone(c);
             continue;
         }
         ++_forwarded;
-        ad.submitIo(bsqe, [this, &fn, sqid, cid,
-                           remaining](const nvme::Cqe &cqe) {
-            (void)cqe;
-            if (--*remaining == 0) {
-                schedule(_engine.config().completionPipelineDelay,
-                         [&fn, sqid, cid] {
-                             fn.complete(sqid, cid, Status::Success);
-                         });
-            }
-        });
+        ad.submitIo(bsqe, legHandler(c, Leg::Flush));
     }
 }
 

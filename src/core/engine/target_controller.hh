@@ -37,10 +37,12 @@
 #include <vector>
 
 #include "core/engine/engine_config.hh"
+#include "core/engine/host_adaptor.hh"
 #include "core/engine/migration_gate.hh"
 #include "nvme/defs.hh"
 #include "pcie/device.hh"
 #include "sim/simulator.hh"
+#include "sim/slot_pool.hh"
 
 namespace bms::core {
 
@@ -202,23 +204,70 @@ class TargetController : public sim::SimObject
         nvme::Status worst = nvme::Status::Success;
     };
 
-    void forward(FrontFunction &fn, const nvme::Sqe &sqe,
-                 std::uint16_t sqid, NsBinding &binding);
+    /**
+     * Everything one front-end I/O or flush command needs from
+     * admission to its front-end CQE. Taken from _cmds when the
+     * command passes admission and freed when its completion is
+     * scheduled; back-end CQE handlers, DMA completions and QoS,
+     * gate and chunk-op continuations carry only the slot index.
+     */
+    struct Cmd
+    {
+        FrontFunction *fn = nullptr;
+        nvme::Sqe sqe;
+        std::uint16_t sqid = 0;
+        NsBinding *binding = nullptr;
+        /** Extents, mirror legs and the gate's in-flight record. */
+        MigrationGate::Admission gate;
+        std::vector<ZeroRange> zeros;
+        /** Host PRP pages: prp1, then prp2 or the fetched list. */
+        std::vector<std::uint64_t> pages;
+        /** Zero-fill DMA pieces: (host address, bytes). */
+        std::vector<std::pair<std::uint64_t, std::uint32_t>> zeroPieces;
+        /** Scratch for one rewritten PRP list. */
+        std::vector<std::uint64_t> list;
+        /** Chip memory this slot stages rewritten PRP lists in, kept
+         *  with the slot and replaced only by a larger one. */
+        std::uint64_t chipList = 0;
+        std::uint64_t chipListBytes = 0;
+        /** Back-end legs still outstanding. */
+        std::size_t remaining = 0;
+        nvme::Status worst = nvme::Status::Success;
+        bool mirrorOk = true;
+    };
+
+    /** Which back-end leg a CQE completes (selects the handler). */
+    enum class Leg : std::uint8_t
+    {
+        Primary, ///< the command's own extent: its status counts
+        Mirror,  ///< best-effort migration mirror
+        Strict,  ///< tier shadow: fails the command and dirties
+        Flush,   ///< one SSD's share of a namespace flush
+    };
+
+    /** Back-end CQE handler: 16 bytes, kept inline by std::function. */
+    HostAdaptor::CqeHandler legHandler(std::uint32_t c, Leg leg);
+
+    std::uint32_t startCmd(FrontFunction &fn, const nvme::Sqe &sqe,
+                           std::uint16_t sqid, NsBinding *binding);
+    void forward(std::uint32_t c);
     void forwardFlush(FrontFunction &fn, const nvme::Sqe &sqe,
                       std::uint16_t sqid, NsBinding &binding);
-    void dispatch(FrontFunction &fn, const nvme::Sqe &sqe,
-                  std::uint16_t sqid, std::uint64_t gate_token,
-                  std::vector<PhysExtent> extents,
-                  std::vector<PhysExtent> mirrors,
-                  std::vector<ZeroRange> zeros,
-                  std::vector<std::uint64_t> host_pages);
+    /** The gate admitted command @p c: gather its host pages. */
+    void admitted(std::uint32_t c);
+    /** Command @p c's host PRP list arrived. */
+    void listFetched(std::uint32_t c);
+    void dispatch(std::uint32_t c);
+    /** One leg of command @p c finished; the last one completes it. */
+    void legDone(std::uint32_t c);
     void fail(FrontFunction &fn, const nvme::Sqe &sqe, std::uint16_t sqid,
               nvme::Status st);
+    /** Fail command @p c (not admitted by the gate) and free it. */
+    void fail(std::uint32_t c, nvme::Status st);
 
     /** Re-enter forward() after a chunk op resolved (QoS was already
      *  charged on the first pass). */
-    void retryForward(FrontFunction &fn, const nvme::Sqe &sqe,
-                      std::uint16_t sqid);
+    void retryForward(std::uint32_t c);
 
     /**
      * Classification pass over the chunks a command touches: queue it
@@ -226,8 +275,7 @@ class TargetController : public sim::SimObject
      * let it through. @return true when the command was consumed
      * (held or failed) and must not proceed to translation.
      */
-    bool classifyChunks(FrontFunction &fn, const nvme::Sqe &sqe,
-                        std::uint16_t sqid, NsBinding &binding);
+    bool classifyChunks(std::uint32_t c);
 
     ChunkOp &openChunkOp(std::uint64_t key, OpKind kind,
                          pcie::FunctionId fn_id, std::uint32_t nsid);
@@ -235,13 +283,9 @@ class TargetController : public sim::SimObject
 
     /** Waiter that re-forwards the command on success, fails it with
      *  the op's status otherwise. */
-    std::function<void(nvme::Status)>
-    makeRetryWaiter(FrontFunction &fn, const nvme::Sqe &sqe,
-                    std::uint16_t sqid);
+    std::function<void(nvme::Status)> makeRetryWaiter(std::uint32_t c);
 
-    void startAlloc(FrontFunction &fn, const nvme::Sqe &sqe,
-                    std::uint16_t sqid, NsBinding &binding,
-                    std::uint32_t chunk_index);
+    void startAlloc(std::uint32_t c, std::uint32_t chunk_index);
     void startCow(std::uint64_t key, pcie::FunctionId fn_id,
                   std::uint32_t nsid, std::uint32_t chunk_index);
 
@@ -274,6 +318,7 @@ class TargetController : public sim::SimObject
                     std::function<void(nvme::Status)> done);
 
     BmsEngine &_engine;
+    sim::SlotPool<Cmd> _cmds;
     std::unordered_map<std::uint64_t, std::uint64_t> _heatBytes;
     /** In-flight chunk ops keyed by heatKey(binding key, chunk). */
     std::unordered_map<std::uint64_t, ChunkOp> _chunkOps;

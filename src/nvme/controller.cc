@@ -189,7 +189,11 @@ ControllerModel::doorbell(const DoorbellRef &ref, std::uint64_t value)
         auto &sq = _sqs[ref.qid];
         if (!sq.valid)
             return;
-        sq.tail = static_cast<std::uint16_t>(value % sq.size);
+        if (value >= sq.size) {
+            ++_invalidDoorbells;
+            return;
+        }
+        sq.tail = static_cast<std::uint16_t>(value);
         sq.maxBacklog = std::max(sq.maxBacklog, sq.backlog());
         // Admin commands are strict-priority in every mode; IO SQs go
         // through the configured arbiter.
@@ -203,7 +207,11 @@ ControllerModel::doorbell(const DoorbellRef &ref, std::uint64_t value)
         auto &cq = _cqs[ref.qid];
         if (!cq.valid)
             return;
-        cq.headDoorbell = static_cast<std::uint16_t>(value % cq.size);
+        if (value >= cq.size) {
+            ++_invalidDoorbells;
+            return;
+        }
+        cq.headDoorbell = static_cast<std::uint16_t>(value);
     }
 }
 
@@ -215,17 +223,41 @@ ControllerModel::pump(std::uint16_t sqid)
         std::uint64_t addr =
             sq.base + static_cast<std::uint64_t>(sq.head) * sizeof(Sqe);
         sq.head = static_cast<std::uint16_t>((sq.head + 1) % sq.size);
-        auto buf = std::make_shared<std::array<std::uint8_t, sizeof(Sqe)>>();
-        _up->dmaRead(addr, sizeof(Sqe), buf->data(), [this, buf, sqid] {
-            Sqe sqe = fromBytes<Sqe>(buf->data());
-            if (_cfg.cmdProcDelay == 0) {
-                dispatch(sqe, sqid);
-            } else {
-                schedule(_cfg.cmdProcDelay,
-                         [this, sqe, sqid] { dispatch(sqe, sqid); });
-            }
-        });
+        startFetch(sqid, addr, 1);
     }
+}
+
+void
+ControllerModel::startFetch(std::uint16_t sqid, std::uint64_t addr,
+                            std::uint32_t count)
+{
+    const std::uint32_t slot = _fetches.acquire();
+    Fetch &f = _fetches[slot];
+    f.sqid = sqid;
+    f.count = count;
+    f.bytes.resize(count * sizeof(Sqe));
+    _up->dmaRead(addr, count * static_cast<std::uint32_t>(sizeof(Sqe)),
+                 f.bytes.data(), [this, slot] { fetched(slot); });
+}
+
+void
+ControllerModel::fetched(std::uint32_t slot)
+{
+    // One completion delivers the whole burst in ring order; the
+    // event queue's same-tick FIFO keeps intra-SQ order intact. The
+    // slot stays held while its SQEs dispatch (a dispatch may start
+    // another fetch).
+    Fetch &f = _fetches[slot];
+    for (std::uint32_t i = 0; i < f.count; ++i) {
+        Sqe sqe = fromBytes<Sqe>(f.bytes.data() + i * sizeof(Sqe));
+        if (_cfg.cmdProcDelay == 0) {
+            dispatch(sqe, f.sqid);
+        } else {
+            schedule(_cfg.cmdProcDelay,
+                     [this, sqe, sqid = f.sqid] { dispatch(sqe, sqid); });
+        }
+    }
+    _fetches.release(slot);
 }
 
 void
@@ -353,22 +385,7 @@ ControllerModel::fetchBurst(std::uint16_t sqid, std::uint32_t maxN)
     sq.fetched += n;
     ++_fetchBatches;
     _fetchedSqes += n;
-    auto buf =
-        std::make_shared<std::vector<std::uint8_t>>(n * sizeof(Sqe));
-    _up->dmaRead(addr, n * sizeof(Sqe), buf->data(),
-                 [this, buf, sqid, n] {
-        // One completion delivers the whole burst in ring order; the
-        // event queue's same-tick FIFO keeps intra-SQ order intact.
-        for (std::uint32_t i = 0; i < n; ++i) {
-            Sqe sqe = fromBytes<Sqe>(buf->data() + i * sizeof(Sqe));
-            if (_cfg.cmdProcDelay == 0) {
-                dispatch(sqe, sqid);
-            } else {
-                schedule(_cfg.cmdProcDelay,
-                         [this, sqe, sqid] { dispatch(sqe, sqid); });
-            }
-        }
-    });
+    startFetch(sqid, addr, n);
 }
 
 void
@@ -568,14 +585,24 @@ ControllerModel::complete(std::uint16_t sqid, std::uint16_t cid, Status st,
     if (cq.tail == 0)
         cq.phase = !cq.phase;
 
-    auto buf = std::make_shared<std::array<std::uint8_t, sizeof(Cqe)>>();
-    toBytes(cqe, buf->data());
-    bool irq = cq.irqEnabled;
-    std::uint16_t vector = cq.vector;
-    _up->dmaWrite(addr, sizeof(Cqe), buf->data(), [this, buf, irq, vector] {
-        if (irq)
-            _up->msix(_cfg.fn, vector);
-    });
+    const std::uint32_t slot = _posts.acquire();
+    Post &p = _posts[slot];
+    toBytes(cqe, p.bytes.data());
+    p.irq = cq.irqEnabled;
+    p.vector = cq.vector;
+    _up->dmaWrite(addr, sizeof(Cqe), p.bytes.data(),
+                  [this, slot] { posted(slot); });
+}
+
+void
+ControllerModel::posted(std::uint32_t slot)
+{
+    const Post &p = _posts[slot];
+    const bool irq = p.irq;
+    const std::uint16_t vector = p.vector;
+    _posts.release(slot);
+    if (irq)
+        _up->msix(_cfg.fn, vector);
 }
 
 } // namespace bms::nvme

@@ -12,15 +12,15 @@
 #ifndef BMS_NVME_CONTROLLER_HH
 #define BMS_NVME_CONTROLLER_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "nvme/defs.hh"
 #include "pcie/device.hh"
 #include "sim/simulator.hh"
+#include "sim/slot_pool.hh"
 #include "sim/stats.hh"
 
 namespace bms::nvme {
@@ -163,6 +163,14 @@ class ControllerModel : public sim::SimObject
     /// @}
 
     /**
+     * Doorbell writes ignored because the value is not a slot of the
+     * queue (tail or head >= its size). A valid driver never writes
+     * one. Deliberately not a registered stat, so the stats of valid
+     * runs are unchanged.
+     */
+    std::uint64_t invalidDoorbells() const { return _invalidDoorbells; }
+
+    /**
      * Post a completion for (sqid, cid). Public so the owning device
      * model (which executes commands on the controller's behalf) can
      * finish them.
@@ -227,6 +235,22 @@ class ControllerModel : public sim::SimObject
         std::uint16_t vector = 0;
     };
 
+    /** SQE bytes of one fetch DMA in flight (a burst or one SQE). */
+    struct Fetch
+    {
+        std::uint16_t sqid = 0;
+        std::uint32_t count = 0;
+        std::vector<std::uint8_t> bytes;
+    };
+
+    /** CQE bytes of one completion post in flight. */
+    struct Post
+    {
+        std::array<std::uint8_t, sizeof(Cqe)> bytes{};
+        bool irq = false;
+        std::uint16_t vector = 0;
+    };
+
     /** Sentinel for serviceRound(): any priority class qualifies. */
     static constexpr std::uint8_t kPrioAny = 0xff;
 
@@ -234,6 +258,13 @@ class ControllerModel : public sim::SimObject
     void disable();
     void doorbell(const DoorbellRef &ref, std::uint64_t value);
     void pump(std::uint16_t sqid);
+    /** DMA @p count SQEs of @p sqid from @p addr into a fetch slot. */
+    void startFetch(std::uint16_t sqid, std::uint64_t addr,
+                    std::uint32_t count);
+    /** A fetch landed: dispatch its SQEs in ring order. */
+    void fetched(std::uint32_t slot);
+    /** A CQE post landed: raise its interrupt. */
+    void posted(std::uint32_t slot);
     void dispatch(const Sqe &sqe, std::uint16_t sqid);
     void adminBuiltin(const Sqe &sqe);
     void identify(const Sqe &sqe);
@@ -284,6 +315,10 @@ class ControllerModel : public sim::SimObject
     std::uint64_t _doorbellsCoalesced = 0;
     std::uint64_t _fetchBatches = 0;
     std::uint64_t _fetchedSqes = 0;
+    std::uint64_t _invalidDoorbells = 0;
+
+    sim::SlotPool<Fetch> _fetches;
+    sim::SlotPool<Post> _posts;
 };
 
 } // namespace bms::nvme

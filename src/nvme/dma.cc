@@ -1,6 +1,5 @@
 #include "nvme/dma.hh"
 
-#include <memory>
 #include <utility>
 
 #include "sim/check.hh"
@@ -8,23 +7,30 @@
 namespace bms::nvme {
 
 void
-resolveSegments(pcie::PcieUpstreamIf &up, const Sqe &sqe,
-                std::function<void(std::vector<DmaSegment>)> then)
+resolveSegments(pcie::PcieUpstreamIf &up, const Sqe &sqe, DmaContext &ctx,
+                std::function<void()> then)
 {
     std::uint64_t len = sqe.dataBytes();
     if (!needsPrpList(sqe.prp1, len)) {
-        then(decodePrp(sqe.prp1, sqe.prp2, len, {}));
+        decodePrp(sqe.prp1, sqe.prp2, len, {}, ctx.segs);
+        then();
         return;
     }
     // Fetch the PRP list from upstream memory (host DRAM natively;
     // BMS-Engine chip memory when behind BM-Store).
     std::uint32_t entries = prpPageCount(sqe.prp1, len) - 1;
-    auto raw = std::make_shared<std::vector<std::uint64_t>>(entries);
+    ctx._prpList.resize(entries);
+    ctx._prp1 = sqe.prp1;
+    ctx._len = len;
+    ctx._onResolved = std::move(then);
     up.dmaRead(sqe.prp2,
                static_cast<std::uint32_t>(entries * sizeof(std::uint64_t)),
-               reinterpret_cast<std::uint8_t *>(raw->data()),
-               [sqe, len, raw, then = std::move(then)] {
-                   then(decodePrp(sqe.prp1, sqe.prp2, len, *raw));
+               reinterpret_cast<std::uint8_t *>(ctx._prpList.data()),
+               [&ctx] {
+                   decodePrp(ctx._prp1, 0, ctx._len, ctx._prpList, ctx.segs);
+                   auto then = std::move(ctx._onResolved);
+                   ctx._onResolved = nullptr;
+                   then();
                });
 }
 
@@ -50,9 +56,10 @@ scatterPayload(pcie::PcieUpstreamIf &up, const std::vector<DmaSegment> &segs,
 }
 
 void
-gatherPayload(pcie::PcieUpstreamIf &up, const std::vector<DmaSegment> &segs,
-              bool functional, std::function<void(sim::Payload)> done)
+gatherPayload(pcie::PcieUpstreamIf &up, DmaContext &ctx, bool functional,
+              std::function<void(sim::Payload)> done)
 {
+    const std::vector<DmaSegment> &segs = ctx.segs;
     BMS_ASSERT(!segs.empty(), "DMA with no PRP segments");
     if (segs.size() == 1) {
         up.dmaReadPayload(segs[0].addr, segs[0].len, functional,
@@ -61,26 +68,27 @@ gatherPayload(pcie::PcieUpstreamIf &up, const std::vector<DmaSegment> &segs,
     }
     // Pieces arrive in segment order; the last one hands the whole
     // payload over.
-    auto whole = std::make_shared<sim::Payload>();
-    auto collect = [whole](std::uint32_t at) {
-        return [whole, at](sim::Payload piece) {
-            BMS_ASSERT(piece.empty() || whole->size() == at,
-                       "DMA segments completed out of order");
-            whole->append(std::move(piece));
-        };
-    };
+    ctx._pieces = sim::Payload{};
+    ctx._onGathered = std::move(done);
     std::uint32_t off = 0;
-    for (std::size_t i = 0; i + 1 < segs.size(); ++i) {
-        up.dmaReadPayload(segs[i].addr, segs[i].len, functional,
-                          collect(off));
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+        const bool last = i + 1 == segs.size();
+        up.dmaReadPayload(
+            segs[i].addr, segs[i].len, functional,
+            [&ctx, at = off, last](sim::Payload piece) {
+                BMS_ASSERT(piece.empty() || ctx._pieces.size() == at,
+                           "DMA segments completed out of order");
+                ctx._pieces.append(std::move(piece));
+                if (!last)
+                    return;
+                sim::Payload whole = std::move(ctx._pieces);
+                ctx._pieces = sim::Payload{};
+                auto then = std::move(ctx._onGathered);
+                ctx._onGathered = nullptr;
+                then(std::move(whole));
+            });
         off += segs[i].len;
     }
-    up.dmaReadPayload(segs.back().addr, segs.back().len, functional,
-                      [append = collect(off), whole,
-                       done = std::move(done)](sim::Payload piece) {
-                          append(std::move(piece));
-                          done(std::move(*whole));
-                      });
 }
 
 } // namespace bms::nvme

@@ -25,11 +25,40 @@
 namespace bms::nvme {
 
 /**
- * Resolve @p sqe's PRPs into DMA segments, fetching the PRP list over
- * @p up when the transfer needs one.
+ * DMA state of one device command, kept in the device's per-command
+ * slot. The vectors keep their capacity when the slot is reused, so
+ * walking PRPs and gathering a payload allocate nothing once a run
+ * has warmed up. Completions reach back into the context, so it must
+ * stay put (and unused by other commands) until they have fired.
+ */
+struct DmaContext
+{
+    /** Resolved segments of the current transfer. */
+    std::vector<DmaSegment> segs;
+
+  private:
+    friend void resolveSegments(pcie::PcieUpstreamIf &, const Sqe &,
+                                DmaContext &, std::function<void()>);
+    friend void gatherPayload(pcie::PcieUpstreamIf &, DmaContext &,
+                              bool, std::function<void(sim::Payload)>);
+
+    /** Raw PRP-list entries fetched for the transfer, if any. */
+    std::vector<std::uint64_t> _prpList;
+    /** Pieces of a multi-segment gather, joined in segment order. */
+    sim::Payload _pieces;
+    std::uint64_t _prp1 = 0;
+    std::uint64_t _len = 0;
+    std::function<void()> _onResolved;
+    std::function<void(sim::Payload)> _onGathered;
+};
+
+/**
+ * Resolve @p sqe's PRPs into @p ctx.segs, fetching the PRP list over
+ * @p up when the transfer needs one. @p then fires once the segments
+ * are ready: at once without a list, else when the list arrives.
  */
 void resolveSegments(pcie::PcieUpstreamIf &up, const Sqe &sqe,
-                     std::function<void(std::vector<DmaSegment>)> then);
+                     DmaContext &ctx, std::function<void()> then);
 
 /**
  * Write @p data to the upstream buffers @p segs describe; @p done
@@ -41,13 +70,12 @@ void scatterPayload(pcie::PcieUpstreamIf &up,
                     std::function<void()> done);
 
 /**
- * Read the upstream buffers @p segs describe; @p done receives their
- * payload once the last segment has arrived (empty unless
+ * Read the upstream buffers @p ctx.segs describe; @p done receives
+ * their payload once the last segment has arrived (empty unless
  * @p functional).
  */
-void gatherPayload(pcie::PcieUpstreamIf &up,
-                   const std::vector<DmaSegment> &segs, bool functional,
-                   std::function<void(sim::Payload)> done);
+void gatherPayload(pcie::PcieUpstreamIf &up, DmaContext &ctx,
+                   bool functional, std::function<void(sim::Payload)> done);
 
 } // namespace bms::nvme
 

@@ -1,5 +1,6 @@
 #include "nvme/prp.hh"
 
+#include <array>
 #include <cstring>
 
 #include "sim/check.hh"
@@ -44,11 +45,11 @@ buildPrp(std::uint64_t addr, std::uint64_t len, std::uint64_t list_addr,
     pair.listEntries = pages - 1;
     BMS_ASSERT_LE(pair.listEntries * sizeof(std::uint64_t), kPageSize,
                   "single-page PRP lists only (transfers up to 2 MiB)");
-    std::vector<std::uint64_t> entries(pair.listEntries);
+    std::array<std::uint64_t, kPageSize / sizeof(std::uint64_t)> entries;
     for (std::uint32_t i = 0; i < pair.listEntries; ++i)
         entries[i] = second_page + static_cast<std::uint64_t>(i) * kPageSize;
     memory.write(list_addr,
-                 static_cast<std::uint32_t>(entries.size() *
+                 static_cast<std::uint32_t>(pair.listEntries *
                                             sizeof(std::uint64_t)),
                  reinterpret_cast<const std::uint8_t *>(entries.data()));
     return pair;
@@ -69,13 +70,14 @@ appendSegment(std::vector<DmaSegment> &segs, std::uint64_t addr,
 
 } // namespace
 
-std::vector<DmaSegment>
+void
 decodePrp(std::uint64_t prp1, std::uint64_t prp2, std::uint64_t len,
-          const std::vector<std::uint64_t> &list_entries)
+          std::span<const std::uint64_t> list_entries,
+          std::vector<DmaSegment> &segs)
 {
-    std::vector<DmaSegment> segs;
+    segs.clear();
     if (len == 0)
-        return segs;
+        return;
 
     std::uint64_t offset = prp1 % kPageSize;
     std::uint64_t first_len = kPageSize - offset;
@@ -84,14 +86,14 @@ decodePrp(std::uint64_t prp1, std::uint64_t prp2, std::uint64_t len,
     appendSegment(segs, prp1, static_cast<std::uint32_t>(first_len));
     std::uint64_t remaining = len - first_len;
     if (remaining == 0)
-        return segs;
+        return;
 
     if (list_entries.empty()) {
         // PRP2 is a direct second-page pointer.
         BMS_ASSERT_LE(remaining, kPageSize,
                       "transfer needs a PRP list but PRP2 is direct");
         appendSegment(segs, prp2, static_cast<std::uint32_t>(remaining));
-        return segs;
+        return;
     }
 
     for (std::uint64_t entry : list_entries) {
@@ -102,7 +104,6 @@ decodePrp(std::uint64_t prp1, std::uint64_t prp2, std::uint64_t len,
         remaining -= chunk;
     }
     BMS_ASSERT_EQ(remaining, 0u, "PRP list too short for transfer");
-    return segs;
 }
 
 } // namespace bms::nvme

@@ -13,6 +13,7 @@
 #define BMS_NVME_PRP_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nvme/defs.hh"
@@ -61,10 +62,12 @@ PrpPair buildPrp(std::uint64_t addr, std::uint64_t len,
  * @param prp2 second PRP entry or list pointer
  * @param len total transfer bytes
  * @param list_entries fetched PRP-list entries, if any
+ * @param out receives the segments (cleared first; its capacity is
+ *        reused, so a caller that keeps it allocates nothing)
  */
-std::vector<DmaSegment>
-decodePrp(std::uint64_t prp1, std::uint64_t prp2, std::uint64_t len,
-          const std::vector<std::uint64_t> &list_entries);
+void decodePrp(std::uint64_t prp1, std::uint64_t prp2, std::uint64_t len,
+               std::span<const std::uint64_t> list_entries,
+               std::vector<DmaSegment> &out);
 
 } // namespace bms::nvme
 

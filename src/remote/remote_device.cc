@@ -78,24 +78,25 @@ RemoteNvmeDevice::executeIo(const Sqe &sqe, std::uint16_t sqid)
         return;
     }
 
-    auto start = [this, f = std::move(f)](
-                     std::vector<nvme::DmaSegment> segs) mutable {
+    f.dma = _dma.acquire();
+    nvme::DmaContext &ctx = _dma[f.dma];
+    auto start = [this, f = std::move(f)]() mutable {
         if (!f.isWrite) {
             // The upstream layout is kept for the read scatter.
-            f.segs = std::move(segs);
             enqueue(std::move(f));
             return;
         }
         // Gather the payload from upstream memory (host natively, or
         // chip memory when behind BM-Store), then go on the wire with
         // command + data.
+        nvme::DmaContext &dma = _dma[f.dma];
         auto send = [this, f = std::move(f)](sim::Payload data) mutable {
             f.data = std::move(data);
             enqueue(std::move(f));
         };
-        nvme::gatherPayload(*_up, segs, true, std::move(send));
+        nvme::gatherPayload(*_up, dma, true, std::move(send));
     };
-    nvme::resolveSegments(*_up, sqe, std::move(start));
+    nvme::resolveSegments(*_up, sqe, ctx, std::move(start));
 }
 
 void
@@ -198,20 +199,22 @@ RemoteNvmeDevice::finishFlight(Flight f, bool ok)
 {
     --_wireInflight;
     pump();
-    if (!ok) {
-        _ctrl->complete(f.sqid, f.sqe.cid, Status::DataTransferError);
-        return;
-    }
-    if (f.isWrite || f.isFlush || f.len == 0) {
-        _ctrl->complete(f.sqid, f.sqe.cid, Status::Success);
+    if (!ok || f.isWrite || f.isFlush || f.len == 0) {
+        if (f.dma != kNoDma)
+            _dma.release(f.dma);
+        _ctrl->complete(f.sqid, f.sqe.cid,
+                        ok ? Status::Success : Status::DataTransferError);
         return;
     }
     // Read: scatter the returned payload to the upstream buffers.
     std::uint16_t sqid = f.sqid;
     std::uint16_t cid = f.sqe.cid;
-    nvme::scatterPayload(*_up, f.segs, std::move(f.data), [this, sqid, cid] {
-        _ctrl->complete(sqid, cid, Status::Success);
-    });
+    std::uint32_t dma = f.dma;
+    nvme::scatterPayload(*_up, _dma[dma].segs, std::move(f.data),
+                         [this, sqid, cid, dma] {
+                             _dma.release(dma);
+                             _ctrl->complete(sqid, cid, Status::Success);
+                         });
 }
 
 } // namespace bms::remote

@@ -32,11 +32,13 @@
 #include <vector>
 
 #include "nvme/controller.hh"
+#include "nvme/dma.hh"
 #include "nvme/prp.hh"
 #include "pcie/device.hh"
 #include "remote/network.hh"
 #include "remote/storage_server.hh"
 #include "sim/simulator.hh"
+#include "sim/slot_pool.hh"
 
 namespace bms::remote {
 
@@ -121,6 +123,8 @@ class RemoteNvmeDevice : public sim::SimObject, public pcie::PcieDeviceIf
 
     friend class Controller;
 
+    static constexpr std::uint32_t kNoDma = ~0u;
+
     /** One command in flight on (or queued for) the wire. */
     struct Flight
     {
@@ -132,8 +136,9 @@ class RemoteNvmeDevice : public sim::SimObject, public pcie::PcieDeviceIf
         /** Payload: gathered for writes, returned by the server for
          *  reads. */
         sim::Payload data;
-        /** Upstream DMA layout, kept for the read scatter. */
-        std::vector<nvme::DmaSegment> segs;
+        /** Slot of the upstream DMA state (kept for the read
+         *  scatter); kNoDma for a flush. */
+        std::uint32_t dma = kNoDma;
         int attempt = 0;
     };
 
@@ -151,6 +156,7 @@ class RemoteNvmeDevice : public sim::SimObject, public pcie::PcieDeviceIf
     RemoteClientConfig _ccfg;
     std::unique_ptr<Controller> _ctrl;
     pcie::PcieUpstreamIf *_up = nullptr;
+    sim::SlotPool<nvme::DmaContext> _dma;
 
     std::deque<Flight> _sendq;
     std::unordered_map<std::uint64_t, Flight> _pending;

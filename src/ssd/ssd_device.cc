@@ -152,42 +152,64 @@ SsdDevice::dispatchIo(const Sqe &sqe, std::uint16_t sqid)
     }
 }
 
+std::uint32_t
+SsdDevice::startCmd(const Sqe &sqe, std::uint16_t sqid)
+{
+    const std::uint32_t c = _cmds.acquire();
+    Cmd &cmd = _cmds[c];
+    cmd.sqe = sqe;
+    cmd.sqid = sqid;
+    return c;
+}
+
+void
+SsdDevice::finishCmd(std::uint32_t c, Status st)
+{
+    const Cmd &cmd = _cmds[c];
+    const std::uint16_t sqid = cmd.sqid;
+    const std::uint16_t cid = cmd.sqe.cid;
+    _cmds.release(c);
+    _ctrl->complete(sqid, cid, st);
+}
+
 void
 SsdDevice::doRead(const Sqe &sqe, std::uint16_t sqid)
 {
     if (!checkRange(sqe, sqid))
         return;
+    const std::uint32_t c = startCmd(sqe, sqid);
     if (_cfg.faults.readErrorRate > 0.0 &&
         sim().rng().chance(_cfg.faults.readErrorRate)) {
         // Unrecoverable media error: reported after a full media
         // access attempt, as real drives do.
-        std::uint64_t bytes = sqe.dataBytes();
-        _media->read(sqe.slba() * nvme::kBlockSize, bytes,
-                     [this, sqe, sqid] {
+        _media->read(sqe.slba() * nvme::kBlockSize, sqe.dataBytes(),
+                     [this, c] {
                          ++_mediaErrors;
-                         _ctrl->complete(sqid, sqe.cid,
-                                         Status::DataTransferError);
+                         finishCmd(c, Status::DataTransferError);
                      });
         return;
     }
     // Media access first; then the data is DMA'd to the host buffers.
-    auto len = static_cast<std::uint32_t>(sqe.dataBytes());
-    std::uint64_t media_off = sqe.slba() * nvme::kBlockSize;
-    _media->read(media_off, len, [this, sqe, sqid, len, media_off] {
-        auto scatter = [this, sqe, sqid, len,
-                        media_off](std::vector<nvme::DmaSegment> segs) {
-            // The flash image is taken when the DMA starts.
-            sim::Payload data;
-            if (_cfg.functionalData)
-                data = _flash.readPayload(media_off, len);
-            nvme::scatterPayload(*_up, segs, std::move(data),
-                                 [this, sqe, sqid] {
-                                     _ctrl->complete(sqid, sqe.cid,
-                                                     Status::Success);
-                                 });
-        };
-        nvme::resolveSegments(*_up, sqe, std::move(scatter));
-    });
+    _media->read(sqe.slba() * nvme::kBlockSize, sqe.dataBytes(),
+                 [this, c] {
+                     Cmd &cmd = _cmds[c];
+                     nvme::resolveSegments(*_up, cmd.sqe, cmd.dma,
+                                           [this, c] { scatterRead(c); });
+                 });
+}
+
+void
+SsdDevice::scatterRead(std::uint32_t c)
+{
+    Cmd &cmd = _cmds[c];
+    // The flash image is taken when the DMA starts.
+    sim::Payload data;
+    if (_cfg.functionalData)
+        data = _flash.readPayload(
+            cmd.sqe.slba() * nvme::kBlockSize,
+            static_cast<std::uint32_t>(cmd.sqe.dataBytes()));
+    nvme::scatterPayload(*_up, cmd.dma.segs, std::move(data),
+                         [this, c] { finishCmd(c, Status::Success); });
 }
 
 void
@@ -195,32 +217,36 @@ SsdDevice::doWrite(const Sqe &sqe, std::uint16_t sqid)
 {
     if (!checkRange(sqe, sqid))
         return;
+    const std::uint32_t c = startCmd(sqe, sqid);
     if (_cfg.faults.writeErrorRate > 0.0 &&
         sim().rng().chance(_cfg.faults.writeErrorRate)) {
         // Clean write failure: a full media access is attempted but
         // the stored bytes are left untouched (see FaultConfig).
         _media->write(sqe.slba() * nvme::kBlockSize, sqe.dataBytes(),
-                      [this, sqe, sqid] {
+                      [this, c] {
                           ++_mediaErrors;
-                          _ctrl->complete(sqid, sqe.cid,
-                                          Status::DataTransferError);
+                          finishCmd(c, Status::DataTransferError);
                       });
         return;
     }
-    std::uint64_t len = sqe.dataBytes();
+    Cmd &cmd = _cmds[c];
+    nvme::resolveSegments(*_up, cmd.sqe, cmd.dma, [this, c] {
+        nvme::gatherPayload(*_up, _cmds[c].dma, _cfg.functionalData,
+                            [this, c](sim::Payload data) {
+                                commitWrite(c, std::move(data));
+                            });
+    });
+}
+
+void
+SsdDevice::commitWrite(std::uint32_t c, sim::Payload data)
+{
+    const Sqe &sqe = _cmds[c].sqe;
     std::uint64_t media_off = sqe.slba() * nvme::kBlockSize;
-    auto commit = [this, sqe, sqid, len, media_off](sim::Payload data) {
-        if (_cfg.functionalData)
-            _flash.writePayload(media_off, data);
-        _media->write(media_off, len, [this, sqe, sqid] {
-            _ctrl->complete(sqid, sqe.cid, Status::Success);
-        });
-    };
-    nvme::resolveSegments(
-        *_up, sqe,
-        [this, commit](std::vector<nvme::DmaSegment> segs) {
-            nvme::gatherPayload(*_up, segs, _cfg.functionalData, commit);
-        });
+    if (_cfg.functionalData)
+        _flash.writePayload(media_off, data);
+    _media->write(media_off, sqe.dataBytes(),
+                  [this, c] { finishCmd(c, Status::Success); });
 }
 
 void
@@ -237,17 +263,15 @@ SsdDevice::doWriteZeroes(const Sqe &sqe, std::uint16_t sqid)
     std::uint64_t len = sqe.dataBytes();
     if (_cfg.functionalData)
         _flash.clearRange(off, len);
-    _media->flush([this, sqe, sqid] {
-        _ctrl->complete(sqid, sqe.cid, Status::Success);
-    });
+    const std::uint32_t c = startCmd(sqe, sqid);
+    _media->flush([this, c] { finishCmd(c, Status::Success); });
 }
 
 void
 SsdDevice::doFlush(const Sqe &sqe, std::uint16_t sqid)
 {
-    _media->flush([this, sqe, sqid] {
-        _ctrl->complete(sqid, sqe.cid, Status::Success);
-    });
+    const std::uint32_t c = startCmd(sqe, sqid);
+    _media->flush([this, c] { finishCmd(c, Status::Success); });
 }
 
 void

@@ -25,9 +25,11 @@
 #include <optional>
 
 #include "nvme/controller.hh"
+#include "nvme/dma.hh"
 #include "nvme/prp.hh"
 #include "pcie/device.hh"
 #include "sim/simulator.hh"
+#include "sim/slot_pool.hh"
 #include "sim/sparse_memory.hh"
 #include "ssd/hdd_model.hh"
 #include "ssd/media_model.hh"
@@ -184,12 +186,31 @@ class SsdDevice : public sim::SimObject, public pcie::PcieDeviceIf
 
     bool checkRange(const nvme::Sqe &sqe, std::uint16_t sqid);
 
+    /** One I/O command between its fetch and its completion. */
+    struct Cmd
+    {
+        nvme::Sqe sqe;
+        std::uint16_t sqid = 0;
+        nvme::DmaContext dma;
+    };
+
+    /** Take a command slot for @p sqe; media and DMA completions
+     *  carry its index. */
+    std::uint32_t startCmd(const nvme::Sqe &sqe, std::uint16_t sqid);
+    /** Complete slot @p c's command with @p st and free the slot. */
+    void finishCmd(std::uint32_t c, nvme::Status st);
+    /** Read data is off the media: move it to the host buffers. */
+    void scatterRead(std::uint32_t c);
+    /** Write data has arrived: store it and write the media. */
+    void commitWrite(std::uint32_t c, sim::Payload data);
+
     Config _cfg;
     std::unique_ptr<Controller> _ctrl;
     std::unique_ptr<StorageMediaIf> _media;
     pcie::PcieUpstreamIf *_up = nullptr;
 
     sim::SparseMemory _flash;
+    sim::SlotPool<Cmd> _cmds;
 
     // Firmware state.
     std::string _fwRev;

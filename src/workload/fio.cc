@@ -109,6 +109,7 @@ FioRunner::start(std::function<void()> done)
     _jobs.resize(static_cast<std::size_t>(_spec.numjobs));
     for (int j = 0; j < _spec.numjobs; ++j) {
         Job &job = _jobs[static_cast<std::size_t>(j)];
+        job.runner = this;
         job.index = j;
         job.regionStart = static_cast<std::uint64_t>(j) * per_job;
         job.regionBlocks = per_job;
@@ -177,10 +178,12 @@ FioRunner::issue(Job &job)
     req.offset = pickOffset(job);
     req.len = _spec.blockSize;
     req.queueHint = job.index;
+    // The job and the submit tick are all the completion needs: 16
+    // bytes, which std::function keeps inline.
     sim::Tick submitted = now();
     Job *jp = &job;
-    req.done = [this, jp, submitted](bool ok) {
-        onDone(*jp, submitted, ok);
+    req.done = [jp, submitted](bool ok) {
+        jp->runner->onDone(*jp, submitted, ok);
     };
     ++job.outstanding;
     ++_outstandingTotal;

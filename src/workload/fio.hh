@@ -101,6 +101,7 @@ class FioRunner : public sim::SimObject
   private:
     struct Job
     {
+        FioRunner *runner = nullptr;
         int index = 0;
         std::uint64_t nextSeq = 0; ///< sequential cursor (blocks)
         std::uint64_t regionStart = 0;

@@ -319,6 +319,27 @@ TEST(Controller, PauseFetchHoldsCommands)
         test::runUntil(h.sim, [&] { return h.ctrl->ioSeen == 2; }));
 }
 
+// A doorbell value that is not a slot of its queue is ignored and
+// counted: it neither moves the SQ tail (no fetch) nor the CQ head,
+// and the queue keeps working afterwards.
+TEST(Controller, OutOfRangeDoorbellsAreIgnored)
+{
+    Harness h;
+    h.createIoQueues();
+    h.ctrl->regWrite(nvme::sqDoorbellOffset(1), h.io_depth);
+    h.ctrl->regWrite(nvme::cqDoorbellOffset(1), h.io_depth + 3u);
+    h.sim.runFor(sim::milliseconds(1));
+    EXPECT_EQ(h.ctrl->ioSeen, 0);
+    EXPECT_EQ(h.ctrl->sqSnapshot(1).backlog, 0u);
+    EXPECT_EQ(h.ctrl->invalidDoorbells(), 2u);
+
+    h.ioSubmit(0);
+    Cqe cqe;
+    EXPECT_TRUE(test::runUntil(h.sim, [&] { return h.ioPoll(cqe); }));
+    EXPECT_TRUE(cqe.ok());
+    EXPECT_EQ(h.ctrl->ioSeen, 1);
+}
+
 TEST(Controller, InflightTracksOutstanding)
 {
     Harness h;

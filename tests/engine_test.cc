@@ -213,6 +213,39 @@ TEST(BmsEngine, OutOfRangeRejected)
     EXPECT_GT(bed.engine().targetController().errorCompletions(), 0u);
 }
 
+// A tenant PRP with a reserved bit set (bit 60) cannot become a global
+// PRP. The engine fails that one command with a status; it does not
+// panic the card, and a neighbour function's I/O completes normally.
+TEST(BmsEngine, ReservedPrpBitsFailTheCommandNotTheCard)
+{
+    harness::BmStoreTestbed bed(bmsConfig(1));
+    host::NvmeDriver &hostile = bed.attachTenant(0, sim::gib(100));
+    host::NvmeDriver &neighbour = bed.attachTenant(1, sim::gib(100));
+    auto &mem = bed.host().memory();
+    auto &tc = bed.engine().targetController();
+
+    std::uint64_t buf = mem.alloc(4096);
+    std::uint64_t errors = tc.errorCompletions();
+    std::uint64_t forwarded = tc.forwardedCommands();
+    EXPECT_FALSE(doIo(bed, hostile, host::BlockRequest::Op::Read, 0, 4096,
+                      buf | (1ull << 60)));
+    EXPECT_EQ(tc.errorCompletions(), errors + 1);
+    EXPECT_EQ(tc.forwardedCommands(), forwarded);
+
+    auto data = pattern(4096, 0x3c);
+    std::uint64_t wbuf = mem.alloc(4096);
+    mem.write(wbuf, 4096, data.data());
+    ASSERT_TRUE(
+        doIo(bed, neighbour, host::BlockRequest::Op::Write, 0, 4096, wbuf));
+    std::uint64_t rbuf = mem.alloc(4096);
+    ASSERT_TRUE(
+        doIo(bed, neighbour, host::BlockRequest::Op::Read, 0, 4096, rbuf));
+    std::vector<std::uint8_t> got(4096);
+    mem.read(rbuf, 4096, got.data());
+    EXPECT_EQ(got, data);
+    EXPECT_EQ(tc.errorCompletions(), errors + 1);
+}
+
 TEST(BmsEngine, UnboundNamespaceRejected)
 {
     harness::BmStoreTestbed bed(bmsConfig(1, false));

@@ -466,3 +466,26 @@ TEST(Migration, ConsoleVerbsRoundTrip)
                           });
     ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return stats_done; }));
 }
+
+// A write the gate admitted before the migration opened still fences
+// its segment: open() counts it, so the copier's fence on that segment
+// waits for the write to complete, as it would for a later write.
+TEST(MigrationGate, WriteInFlightAtOpenFencesItsSegment)
+{
+    sim::Simulator sim(1);
+    auto *gate = sim.make<core::MigrationGate>(sim, "gate");
+    const std::uint64_t chunk_blocks = 1024;
+    core::MigrationGate::Admission write;
+    write.extents.push_back(core::PhysExtent{0, 10, 0, 4});
+    bool admitted = false;
+    gate->admit(write, true, chunk_blocks, [&] { admitted = true; });
+    ASSERT_TRUE(admitted);
+
+    gate->open(0, 0, 1, 0, chunk_blocks, 256);
+    int fenced = -1;
+    ASSERT_TRUE(gate->fenceNextSegment(
+        [&](std::uint32_t seg) { fenced = static_cast<int>(seg); }));
+    EXPECT_EQ(fenced, -1);
+    gate->complete(write, true);
+    EXPECT_EQ(fenced, 0);
+}

@@ -17,6 +17,16 @@ using namespace bms::nvme;
 
 namespace {
 
+/** decodePrp into a fresh vector. */
+std::vector<DmaSegment>
+decoded(std::uint64_t prp1, std::uint64_t prp2, std::uint64_t len,
+        std::span<const std::uint64_t> entries)
+{
+    std::vector<DmaSegment> segs;
+    decodePrp(prp1, prp2, len, entries, segs);
+    return segs;
+}
+
 /** In-process MemoryIf for PRP tests. */
 class TestMemory : public bms::pcie::MemoryIf
 {
@@ -127,7 +137,7 @@ TEST(Prp, SinglePageNoList)
     EXPECT_EQ(p.prp1, 0x10000u);
     EXPECT_EQ(p.prp2, 0u);
     EXPECT_FALSE(p.hasList);
-    auto segs = decodePrp(p.prp1, p.prp2, 4096, {});
+    auto segs = decoded(p.prp1, p.prp2, 4096, {});
     ASSERT_EQ(segs.size(), 1u);
     EXPECT_EQ(segs[0].addr, 0x10000u);
     EXPECT_EQ(segs[0].len, 4096u);
@@ -139,7 +149,7 @@ TEST(Prp, TwoPagesDirectPrp2)
     PrpPair p = buildPrp(0x10000, 8192, 0x9000, mem);
     EXPECT_EQ(p.prp2, 0x11000u);
     EXPECT_FALSE(p.hasList);
-    auto segs = decodePrp(p.prp1, p.prp2, 8192, {});
+    auto segs = decoded(p.prp1, p.prp2, 8192, {});
     // Contiguous pages coalesce into one segment.
     ASSERT_EQ(segs.size(), 1u);
     EXPECT_EQ(segs[0].len, 8192u);
@@ -161,7 +171,7 @@ TEST(Prp, ListBuildAndDecode128k)
     for (std::uint32_t i = 0; i < p.listEntries; ++i)
         EXPECT_EQ(entries[i], 0x200000 + (i + 1) * 4096ull);
 
-    auto segs = decodePrp(p.prp1, p.prp2, len, entries);
+    auto segs = decoded(p.prp1, p.prp2, len, entries);
     ASSERT_EQ(segs.size(), 1u); // fully contiguous buffer
     EXPECT_EQ(segs[0].addr, 0x200000u);
     EXPECT_EQ(segs[0].len, len);
@@ -170,7 +180,7 @@ TEST(Prp, ListBuildAndDecode128k)
 TEST(Prp, ScatteredListDoesNotCoalesce)
 {
     std::vector<std::uint64_t> entries = {0x30000, 0x50000, 0x51000};
-    auto segs = decodePrp(0x10000, 0xdead, 4 * 4096, entries);
+    auto segs = decoded(0x10000, 0xdead, 4 * 4096, entries);
     ASSERT_EQ(segs.size(), 3u);
     EXPECT_EQ(segs[0].addr, 0x10000u);
     EXPECT_EQ(segs[1].addr, 0x30000u);
@@ -180,7 +190,7 @@ TEST(Prp, ScatteredListDoesNotCoalesce)
 
 TEST(Prp, OffsetFirstPage)
 {
-    auto segs = decodePrp(0x10800, 0x20000, 4096, {});
+    auto segs = decoded(0x10800, 0x20000, 4096, {});
     ASSERT_EQ(segs.size(), 2u);
     EXPECT_EQ(segs[0].addr, 0x10800u);
     EXPECT_EQ(segs[0].len, 2048u);
@@ -219,7 +229,9 @@ TEST(Dma, ScatteredSegmentsGatherAndScatterExactBytes)
 
     int gathered = 0;
     Payload data;
-    gatherPayload(up, src, true, [&](Payload p) {
+    bms::nvme::DmaContext ctx;
+    ctx.segs = src;
+    gatherPayload(up, ctx, true, [&](Payload p) {
         ++gathered;
         data = std::move(p);
     });
@@ -243,7 +255,7 @@ TEST(Dma, ScatteredSegmentsGatherAndScatterExactBytes)
     // Timing only: one completion, no payload, no memory touched.
     std::size_t pages = up.memory.allocatedPages();
     Payload none = Payload::zeros(4096);
-    gatherPayload(up, src, false, [&](Payload p) { none = std::move(p); });
+    gatherPayload(up, ctx, false, [&](Payload p) { none = std::move(p); });
     scatterPayload(up, {{0xc0000, 4096}, {0xd0000, 4096}}, Payload{},
                    [&] { ++scattered; });
     sim.runUntil(sim.now() + 10);
@@ -269,7 +281,7 @@ TEST_P(PrpProperty, CoversTransferExactly)
         mem.read(p.prp2, p.listEntries * 8,
                  reinterpret_cast<std::uint8_t *>(entries.data()));
     }
-    auto segs = decodePrp(p.prp1, p.prp2, len, entries);
+    auto segs = decoded(p.prp1, p.prp2, len, entries);
     std::uint64_t covered = 0;
     std::uint64_t expect_addr = base;
     for (const auto &s : segs) {
